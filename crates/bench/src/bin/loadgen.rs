@@ -252,7 +252,7 @@ fn run_phase(
 
     let ctx = FireCtx {
         oracle,
-        shape: oracle.map_or([1, 1, 1], |o| o.input_shape),
+        shape: scfg.model.input_shape(),
         kind: cfg.kind,
         scfg,
     };

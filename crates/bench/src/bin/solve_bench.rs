@@ -2,28 +2,25 @@
 //! the [`xbar::SolverCache`] batched path, emitting
 //! `results/BENCH_solve.json` for `bench_gate --solve`.
 //!
-//! Both paths solve the same panel of random stimuli against the same
-//! programmed tile:
+//! Both paths run the same Newton driver over the same panel of random
+//! stimuli against the same programmed tile:
 //!
 //! * **cold** — one `CrossbarCircuit::solve` per sample: every solve
-//!   re-runs exact damped Newton from the zero guess, re-eliminating
-//!   the Jacobian blocks inside every inner sweep.
+//!   starts from the cold guess (word lines at their driven voltage,
+//!   bit lines grounded) with no carried state.
 //! * **amortized** — `SolverCache::for_circuit` once, then one
-//!   `solve_batch` over the whole panel: the frozen-Jacobian
-//!   factorization is built (or fetched from the process-wide
-//!   registry) a single time and every sample after the first
-//!   warm-starts from its predecessor's operating point (DESIGN.md
-//!   §15).
+//!   `solve_batch` over the whole panel: every sample after the first
+//!   warm-starts from its predecessor's operating point, with the
+//!   previous residual transferred to the new inputs in O(rows) and
+//!   each 1T1R cell's inner solve seeded from its previous internal
+//!   voltage (DESIGN.md §15).
 //!
 //! Two shapes run: the original 64×64 leg and an RxNN-scale 256×256
-//! leg, where the factorization is ~64x more expensive and the
-//! amortization win correspondingly larger. The gated metrics are the
-//! **ratios** of per-sample times (`amortized_speedup` and
-//! `amortized_speedup_256 = cold_ns / amortized_ns`), which are
-//! machine-relative: a committed baseline transfers across hosts the
-//! same way the kernel-gate speedups do. The acceptance floor for this
-//! arc is 2.0x at 64×64, witnessed by
-//! `results/BENCH_solve_baseline.json`.
+//! leg. The gated metrics are the **ratios** of per-sample times
+//! (`amortized_speedup` and `amortized_speedup_256 = cold_ns /
+//! amortized_ns`), which are machine-relative: a committed baseline
+//! (`results/BENCH_solve_baseline.json`) transfers across hosts the
+//! same way the kernel-gate speedups do.
 //!
 //! Usage: `solve_bench [out.json]` (default
 //! `results/BENCH_solve.json`). `GENIEX_SOLVE_BENCH_SAMPLES` /
@@ -112,7 +109,7 @@ fn run_leg(size: usize, samples: usize, reps: usize) -> LegResult {
     // Correlated stimulus stream, like consecutive MVMs of a real
     // workload: each sample perturbs the previous one, which is the
     // regime warm-starting is designed for (a fully random stream
-    // still amortizes the factorization, just with more iterations).
+    // still warm-starts, just with more iterations).
     let mut volts = vec![0.0f64; samples * size];
     for i in 0..size {
         volts[i] = params.v_supply * rng.next_f64();
@@ -125,8 +122,8 @@ fn run_leg(size: usize, samples: usize, reps: usize) -> LegResult {
         }
     }
 
-    // Warm-up: fault in code paths and the factorization registry so
-    // neither rep 0 nor the cold loop pays one-time costs.
+    // Warm-up: fault in code paths so neither rep 0 nor the cold loop
+    // pays one-time costs.
     let first = &volts[..size];
     circuit.solve(first).expect("warm-up cold solve");
     let mut cache = SolverCache::for_circuit(&circuit);
@@ -152,7 +149,7 @@ fn run_leg(size: usize, samples: usize, reps: usize) -> LegResult {
     for _ in 0..reps {
         let start = Instant::now();
         // Fresh cache per rep: the timed region includes content
-        // keying and the registry fetch, exactly what a newly
+        // keying and the cold first sample, exactly what a newly
         // programmed tile pays.
         let mut cache = SolverCache::for_circuit(&circuit);
         let reports = circuit

@@ -46,6 +46,7 @@ use std::time::Instant;
 mod metamorphic;
 mod oracles;
 mod physics;
+mod reference;
 mod zoo;
 
 pub use proptest::fnv1a64;

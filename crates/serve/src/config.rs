@@ -57,6 +57,18 @@ impl ModelKind {
         }
     }
 
+    /// Image shape `[channels, height, width]` this model's `Infer`
+    /// requests carry (all zero for an MVM-only service).
+    pub fn input_shape(&self) -> [usize; 3] {
+        match self {
+            ModelKind::None => [0; 3],
+            ModelKind::SynthS => {
+                let (c, h, w) = vision::SynthSpec::SynthS.image_shape();
+                [c, h, w]
+            }
+        }
+    }
+
     fn parse(s: &str) -> Option<ModelKind> {
         match s.trim().to_ascii_lowercase().as_str() {
             "none" => Some(ModelKind::None),
@@ -227,6 +239,13 @@ pub fn results_dir() -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn model_input_shape_matches_the_served_network() {
+        let network = vision::MicroResNet::new(vision::SynthSpec::SynthS, 3).to_spec();
+        assert_eq!(ModelKind::SynthS.input_shape(), network.input_shape);
+        assert_eq!(ModelKind::None.input_shape(), [0; 3]);
+    }
 
     #[test]
     fn defaults_are_sane() {

@@ -1,180 +1,43 @@
-//! Amortized solving: cached Jacobian factorizations keyed by circuit
-//! content, shared across tiles and reused across batches of inputs.
+//! Amortized solving: warm state carried from one solve of a tile to
+//! the next, guarded by the circuit's content key.
 //!
 //! The functional simulator evaluates many MVMs against the *same*
-//! programmed conductance matrix, yet a plain [`CrossbarCircuit::solve`]
-//! re-derives everything per call: the cell linearization (one
-//! transcendental `dI/dV` per cross-point per Newton iteration) and the
-//! Thomas factorization of every tridiagonal chain (one division per
-//! node per Gauss–Seidel sweep). This module factors that shared work
-//! out:
+//! programmed conductance matrix, and consecutive stimuli on one tile
+//! are similar. A [`SolverCache`] carries the previous converged
+//! operating point into the next solve, so Newton starts next to the
+//! answer instead of at the cold guess:
 //!
-//! * [`JacobianFactorization`] — the Block-Gauss–Seidel operator frozen
-//!   at the zero-bias linearization point: per-cell differential
-//!   conductances plus the forward-eliminated Thomas factors
-//!   (`1/denom`, `c'`) of every word-line and bit-line chain. Building
-//!   it costs one exact factorization; applying it is multiply-only.
-//!   Zero bias makes the factorization *input-independent*, so it is
-//!   keyed purely by circuit content and safely shared between tiles
-//!   programmed with the same matrix.
-//! * [`SolverCache`] — the per-tile handle
-//!   [`CrossbarCircuit::solve_amortized`] and
-//!   [`CrossbarCircuit::solve_batch`] consume: the factorization plus
-//!   the previous sample's node voltages for warm-starting Newton.
-//! * A process-wide registry mapping [`CrossbarCircuit::solver_key`]
-//!   (a [`store::Canonical`] content key over the design parameters,
-//!   the programmed conductances, and the Newton options) to shared
-//!   factorizations, so rebuilding a tile for the same programmed
-//!   matrix — a clone, a re-tiled layer, a serve worker — reuses the
-//!   factorization instead of recomputing it. Disable with
-//!   `GENIEX_SOLVER_CACHE=off` (each cache then factorizes privately;
-//!   warm starts are unaffected).
+//! * the converged node voltages — the next solve's Newton seed;
+//! * the KCL residual and per-cell differential conductances there —
+//!   the inputs enter the KCL system only through the driver source
+//!   terms, so the residual transfers to new inputs in O(rows) and the
+//!   first correction needs no device evaluation;
+//! * each series 1T1R cell's internal-node voltage — a warm start for
+//!   the per-cell scalar Newton inside every residual evaluation.
+//!
+//! An empty cache is exactly a cold start: [`CrossbarCircuit::solve`]
+//! runs the same driver from no state.
 //!
 //! # Invalidation
 //!
 //! A `SolverCache` never goes stale silently: every
 //! `solve_amortized`/`solve_batch` call re-derives the circuit's
-//! content key and compares it to the cached one. On mismatch the cache
-//! re-keys — fetches or builds the right factorization and drops the
-//! warm-start voltages (they belong to the old operating landscape).
-//! Matching keys keep both. The warm start is additionally dropped
-//! whenever a solve fails, so a diverged sample cannot poison the next
-//! one.
+//! content key ([`CrossbarCircuit::solver_key`] — a
+//! [`store::Canonical`] digest of the design parameters, the programmed
+//! conductances and the Newton options) and compares it to the cached
+//! one. On mismatch the cache re-keys and drops its warm state (it
+//! belongs to the old operating landscape). The warm state is
+//! additionally dropped whenever a solve fails, so a diverged sample
+//! cannot poison the next one.
 //!
 //! [`CrossbarCircuit::solve`]: crate::CrossbarCircuit::solve
-//! [`CrossbarCircuit::solve_amortized`]: crate::CrossbarCircuit::solve_amortized
-//! [`CrossbarCircuit::solve_batch`]: crate::CrossbarCircuit::solve_batch
 //! [`CrossbarCircuit::solver_key`]: crate::CrossbarCircuit::solver_key
 
 use crate::circuit::{metrics, CrossbarCircuit};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// The Block-Gauss–Seidel correction operator of a programmed crossbar,
-/// frozen at the zero-bias linearization point and fully factorized.
-///
-/// Holds, for every word-line and bit-line tridiagonal chain, the
-/// forward-eliminated Thomas factors: the reciprocal pivots `1/denom_k`
-/// and the eliminated super-diagonal `c'_k`. Applying the operator is
-/// then two multiply-only sweeps per chain — no divisions, no
-/// device-model evaluations.
-///
-/// Zero bias is the one linearization point that depends only on the
-/// programmed state: `dI/dV(0)` of every calibrated cell equals its
-/// programmed small-signal conductance. For linear devices the frozen
-/// operator *is* the exact Jacobian; for `sinh`-family devices it is a
-/// chord — the outer loop still damps and verifies the true KCL
-/// residual, so convergence (not just the iterate) is exact either way
-/// (see [`CrossbarCircuit::solve_amortized`]).
-///
-/// [`CrossbarCircuit::solve_amortized`]: crate::CrossbarCircuit::solve_amortized
-#[derive(Debug)]
-pub struct JacobianFactorization {
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    /// Per-cell differential conductance at zero bias, row-major.
-    pub(crate) gd: Vec<f64>,
-    /// Word-line chains (one per row, `cols` long), row-major: `1/denom`.
-    pub(crate) w_inv_denom: Vec<f64>,
-    /// Word-line chains: eliminated super-diagonal `c'`.
-    pub(crate) w_c_prime: Vec<f64>,
-    /// Bit-line chains (one per column, `rows` long), chain-major
-    /// (`j * rows + i`): `1/denom`.
-    pub(crate) b_inv_denom: Vec<f64>,
-    /// Bit-line chains, chain-major: `c'`.
-    pub(crate) b_c_prime: Vec<f64>,
-}
-
-impl JacobianFactorization {
-    /// Crossbar rows the factorization was built for.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Crossbar columns the factorization was built for.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-}
-
-/// Applies a prefactorized symmetric tridiagonal solve: forward
-/// substitution with cached reciprocal pivots, then back substitution
-/// with the cached eliminated super-diagonal. Multiply-only — the
-/// divisions were paid once at factorization time.
-#[inline]
-pub(crate) fn thomas_apply(
-    inv_denom: &[f64],
-    c_prime: &[f64],
-    off: f64,
-    rhs: &[f64],
-    sol: &mut [f64],
-) {
-    let n = rhs.len();
-    sol[0] = rhs[0] * inv_denom[0];
-    for k in 1..n {
-        sol[k] = (rhs[k] - off * sol[k - 1]) * inv_denom[k];
-    }
-    for k in (0..n.saturating_sub(1)).rev() {
-        sol[k] -= c_prime[k] * sol[k + 1];
-    }
-}
-
-/// Cap on the process-wide factorization registry. Each entry is
-/// ~`5 × rows × cols` f64s; 64 entries of 64×64 tiles ≈ 10 MB. When
-/// full, new factorizations are still returned to the caller but not
-/// retained (no eviction — eviction order would be nondeterministic).
-const REGISTRY_CAP: usize = 64;
-
-fn registry() -> &'static Mutex<HashMap<store::Key, Arc<JacobianFactorization>>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<store::Key, Arc<JacobianFactorization>>>> =
-        OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// `GENIEX_SOLVER_CACHE=off` disables the cross-tile registry (each
-/// [`SolverCache`] then factorizes privately). Read once per process.
-fn registry_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("GENIEX_SOLVER_CACHE")
-            .map(|v| v != "off")
-            .unwrap_or(true)
-    })
-}
-
-/// Fetches the factorization for `key` from the registry, building it
-/// from `circuit` on a miss.
-fn fetch_or_build(key: store::Key, circuit: &CrossbarCircuit) -> Arc<JacobianFactorization> {
-    if !registry_enabled() {
-        return Arc::new(circuit.factorize());
-    }
-    let m = metrics();
-    if let Some(hit) = registry()
-        .lock()
-        .expect("solver cache registry poisoned")
-        .get(&key)
-        .cloned()
-    {
-        if telemetry::enabled() {
-            m.cache_hits.inc();
-        }
-        return hit;
-    }
-    if telemetry::enabled() {
-        m.cache_misses.inc();
-    }
-    let built = Arc::new(circuit.factorize());
-    let mut reg = registry().lock().expect("solver cache registry poisoned");
-    if reg.len() < REGISTRY_CAP {
-        reg.entry(key).or_insert_with(|| built.clone());
-    }
-    built
-}
 
 /// Per-tile amortization state for [`CrossbarCircuit::solve_amortized`]
-/// and [`CrossbarCircuit::solve_batch`]: the (possibly shared) frozen
-/// Jacobian factorization plus the previous converged node voltages for
-/// warm-starting the next sample.
+/// and [`CrossbarCircuit::solve_batch`]: the previous converged
+/// operating point for warm-starting the next sample.
 ///
 /// The cache is self-validating: it remembers the content key
 /// ([`CrossbarCircuit::solver_key`]) it was built for and re-keys
@@ -194,11 +57,9 @@ fn fetch_or_build(key: store::Key, circuit: &CrossbarCircuit) -> Arc<JacobianFac
 /// let mut cache = SolverCache::for_circuit(&circuit);
 ///
 /// let v = vec![params.v_supply; 4];
-/// let cold = circuit.solve(&v)?;
+/// // A fresh cache is a cold start, bit for bit.
 /// let amortized = circuit.solve_amortized(&v, &mut cache)?;
-/// for (a, b) in amortized.currents.iter().zip(&cold.currents) {
-///     assert!((a - b).abs() <= 1e-6 * b.abs() + 1e-10);
-/// }
+/// assert_eq!(amortized, circuit.solve(&v)?);
 /// // A second solve of the same input warm-starts from the converged
 /// // point: zero Newton iterations, bit-identical currents.
 /// let again = circuit.solve_amortized(&v, &mut cache)?;
@@ -214,37 +75,21 @@ fn fetch_or_build(key: store::Key, circuit: &CrossbarCircuit) -> Arc<JacobianFac
 #[derive(Debug, Clone)]
 pub struct SolverCache {
     key: store::Key,
-    factorization: Arc<JacobianFactorization>,
     warm: Option<WarmState>,
-    /// Per-cell internal-node voltages (series 1T1R cells), row-major,
-    /// NaN = no guess yet. A pure performance hint for the per-cell
-    /// scalar Newton: the converged internal voltage never depends on
-    /// its starting guess, so this carries across samples — and even
-    /// across re-keys it would merely be a bad guess, but it is cleared
-    /// with the warm start for symmetry.
-    internal: Vec<f64>,
 }
 
-/// The previous converged operating point, carried between amortized
-/// solves by [`SolverCache`].
+/// The previous converged operating point: everything needed to
+/// restart Newton at `x` under *new* inputs without re-evaluating a
+/// single device model.
 #[derive(Debug, Clone)]
 pub(crate) struct WarmState {
     /// Converged node voltages — the next solve's Newton seed.
     pub(crate) x: Vec<f64>,
-    /// The solve's full context, present only when the previous solve
-    /// completed on the amortized path itself (the exact-Newton
-    /// fallback reports only voltages). With it, the next warm solve
-    /// skips its initial residual evaluation entirely: the inputs enter
-    /// the KCL system only through the driver source terms, so the
-    /// stored residual is updated to the new inputs in O(rows).
-    pub(crate) context: Option<WarmContext>,
-}
-
-/// Residual context of a completed amortized solve: everything needed
-/// to restart Newton at the stored `x` under *new* inputs without
-/// re-evaluating a single device model.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmContext {
+    /// Per-cell internal-node voltages (series 1T1R cells), row-major,
+    /// NaN = no guess yet. A pure performance hint for the per-cell
+    /// scalar Newton: the converged internal voltage never depends on
+    /// its starting guess.
+    pub(crate) u: Vec<f64>,
     /// The inputs the residual was evaluated under.
     pub(crate) v: Vec<f64>,
     /// KCL residual `F(x; v)` at the converged point.
@@ -261,30 +106,20 @@ pub(crate) struct WarmContext {
 }
 
 impl SolverCache {
-    /// Builds (or fetches from the process-wide registry) the
-    /// factorization for `circuit` and returns a cache with no
-    /// warm-start state.
+    /// An empty cache for `circuit`: its first solve cold-starts.
     pub fn for_circuit(circuit: &CrossbarCircuit) -> Self {
-        let key = circuit.solver_key();
         SolverCache {
-            key,
-            factorization: fetch_or_build(key, circuit),
+            key: circuit.solver_key(),
             warm: None,
-            internal: Vec::new(),
         }
     }
 
-    /// The content key ([`CrossbarCircuit::solver_key`]) the cached
-    /// factorization belongs to.
+    /// The content key ([`CrossbarCircuit::solver_key`]) the warm state
+    /// belongs to.
     ///
     /// [`CrossbarCircuit::solver_key`]: crate::CrossbarCircuit::solver_key
     pub fn key(&self) -> store::Key {
         self.key
-    }
-
-    /// The cached frozen-Jacobian factorization.
-    pub fn factorization(&self) -> &Arc<JacobianFactorization> {
-        &self.factorization
     }
 
     /// The node voltages the next solve will warm-start from, if any.
@@ -292,14 +127,13 @@ impl SolverCache {
         self.warm.as_ref().map(|w| w.x.as_slice())
     }
 
-    /// Drops the warm-start voltages (the factorization is kept — it
-    /// does not depend on the operating point).
+    /// Drops the warm state, so the next solve cold-starts.
     pub fn clear_warm_start(&mut self) {
         self.warm = None;
     }
 
     /// Re-keys the cache if `circuit`'s content no longer matches,
-    /// dropping the warm start in that case (it described a different
+    /// dropping the warm state in that case (it described a different
     /// circuit's operating point).
     pub(crate) fn ensure(&mut self, circuit: &CrossbarCircuit) {
         let key = circuit.solver_key();
@@ -311,37 +145,16 @@ impl SolverCache {
         }
     }
 
-    pub(crate) fn set_warm(&mut self, warm: WarmState) {
-        self.warm = Some(warm);
-    }
-
-    /// Takes the warm state out of the cache: the solve in flight owns
-    /// it, and only a *successful* solve puts its converged state back
-    /// — the failure-drops-warm-start rule.
-    pub(crate) fn take_warm(&mut self) -> Option<WarmState> {
-        self.warm.take()
-    }
-
-    /// Takes the per-cell internal-node voltages for a solve over
-    /// `half = rows * cols` cells, handing out a fresh NaN-filled
-    /// ("no guess") vector when none of the right shape is cached.
-    pub(crate) fn take_internal(&mut self, half: usize) -> Vec<f64> {
-        if self.internal.len() == half {
-            std::mem::take(&mut self.internal)
-        } else {
-            vec![f64::NAN; half]
-        }
-    }
-
-    pub(crate) fn set_internal(&mut self, u: Vec<f64>) {
-        self.internal = u;
+    /// The warm state the solver driver takes and, on success, replaces.
+    pub(crate) fn state(&mut self) -> &mut Option<WarmState> {
+        &mut self.warm
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConductanceMatrix, CrossbarParams, LinearSolverKind, NewtonOptions};
+    use crate::{ConductanceMatrix, CrossbarParams, NewtonOptions};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -365,28 +178,16 @@ mod tests {
         let p = CrossbarParams::builder(5, 4).build().unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let g = ConductanceMatrix::random_sparse(&p, 0.5, &mut rng);
-        let cg = CrossbarCircuit::with_options(
+        let tighter = CrossbarCircuit::with_options(
             &p,
             &g,
             NewtonOptions {
-                linear_solver: LinearSolverKind::ConjugateGradient,
+                abs_tolerance: 1e-14,
                 ..NewtonOptions::default()
             },
         )
         .unwrap();
-        assert_ne!(a.solver_key(), cg.solver_key());
-    }
-
-    #[test]
-    fn registry_shares_factorizations_across_instances() {
-        let a = circuit(7);
-        let b = circuit(7);
-        let cache_a = SolverCache::for_circuit(&a);
-        let cache_b = SolverCache::for_circuit(&b);
-        assert!(Arc::ptr_eq(
-            cache_a.factorization(),
-            cache_b.factorization()
-        ));
+        assert_ne!(a.solver_key(), tighter.solver_key());
     }
 
     #[test]
@@ -405,10 +206,16 @@ mod tests {
     }
 
     #[test]
-    fn factorization_shape_accessors() {
-        let a = circuit(9);
-        let cache = SolverCache::for_circuit(&a);
-        assert_eq!(cache.factorization().rows(), 5);
-        assert_eq!(cache.factorization().cols(), 4);
+    fn clear_warm_start_forces_a_cold_solve() {
+        let a = circuit(5);
+        let mut cache = SolverCache::for_circuit(&a);
+        let v = vec![0.2; 5];
+        a.solve_amortized(&v, &mut cache).unwrap();
+        cache.clear_warm_start();
+        assert!(cache.warm_start().is_none());
+        assert_eq!(
+            a.solve_amortized(&v, &mut cache).unwrap(),
+            a.solve(&v).unwrap()
+        );
     }
 }

@@ -21,10 +21,10 @@
 //! * [`CrossbarParams`] / [`NonIdealityConfig`] — design parameters
 //!   (size, Ron, ON/OFF ratio, parasitic resistances, supply voltage).
 //! * [`CrossbarCircuit`] — the nonlinear DC solver (modified nodal
-//!   analysis, damped Newton–Raphson, Jacobi-preconditioned CG).
-//! * [`SolverCache`] / [`JacobianFactorization`] — amortized solving:
-//!   content-keyed frozen-Jacobian factorizations and warm-started
-//!   Newton for batches of inputs against one programmed tile
+//!   analysis, damped Newton–Raphson, block Gauss–Seidel corrections).
+//! * [`SolverCache`] — amortized solving: content-keyed warm state that
+//!   starts each Newton solve from the previous sample's operating
+//!   point, for batches of inputs against one programmed tile
 //!   (DESIGN.md §15).
 //! * [`AnalyticalModel`] — the linear baseline (parasitics only; devices
 //!   replaced by their programmed conductance), including the CxDNN-style
@@ -73,8 +73,8 @@ mod variation;
 pub mod zoo;
 
 pub use analytical::AnalyticalModel;
-pub use cache::{JacobianFactorization, SolverCache};
-pub use circuit::{CgStats, CrossbarCircuit, LinearSolverKind, NewtonOptions, SolveReport};
+pub use cache::SolverCache;
+pub use circuit::{CrossbarCircuit, NewtonOptions, SolveReport};
 pub use conductance::ConductanceMatrix;
 pub use error::XbarError;
 pub use params::{CrossbarParams, CrossbarParamsBuilder, DeviceParams, NonIdealityConfig};

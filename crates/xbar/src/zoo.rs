@@ -1,7 +1,7 @@
 //! The pluggable non-ideality zoo.
 //!
 //! GENIEx's thesis is generalization across *many* non-ideality
-//! regimes; the fixed menu in [`crate::variation`] (one fused
+//! regimes; the fixed menu in [`crate::apply_variations`] (one fused
 //! lognormal + stuck-at pass) does not compose and cannot express
 //! effects that act at other points of a tile's lifetime. This module
 //! factors every imperfection into a [`NonIdeality`] — a pluggable,

@@ -1,10 +1,10 @@
 //! Regression coverage: the `SolverCache` content key is derived from
 //! the *post-non-ideality* conductances, never the programmed target.
 //! Two tiles sharing a target but differing in drift time are
-//! different circuits and must not share a frozen-Jacobian
-//! factorization — while genuinely identical drifted tiles must.
+//! different circuits, so a warm state carried from one must never
+//! seed a solve of the other — while genuinely identical drifted tiles
+//! key equal.
 
-use std::sync::Arc;
 use xbar::zoo::{ConductanceDrift, NonIdealityStack};
 use xbar::{ConductanceMatrix, CrossbarCircuit, CrossbarParams, SolverCache};
 
@@ -35,7 +35,7 @@ fn drifted_circuit(params: &CrossbarParams, t: f64) -> CrossbarCircuit {
 }
 
 #[test]
-fn different_drift_times_never_share_a_factorization() {
+fn drift_twins_key_differently_and_never_share_warm_state() {
     let params = CrossbarParams::builder(SIZE, SIZE).build().unwrap();
     let fresh = drifted_circuit(&params, 1.0); // t == t0: identity drift
     let aged = drifted_circuit(&params, 1e5);
@@ -44,39 +44,47 @@ fn different_drift_times_never_share_a_factorization() {
         aged.solver_key(),
         "identical targets at different drift times must key differently"
     );
-    let fresh_cache = SolverCache::for_circuit(&fresh);
-    let aged_cache = SolverCache::for_circuit(&aged);
-    assert!(
-        !Arc::ptr_eq(fresh_cache.factorization(), aged_cache.factorization()),
-        "drifted tile reused the undrifted tile's factorization"
-    );
-    // And the solves really differ: the aged tile conducts less.
+
+    // Warm a cache on the undrifted twin, then hand it the aged one: it
+    // must re-key and cold-start, landing exactly where a cold solve of
+    // the aged tile lands.
     let v = vec![params.v_supply; SIZE];
-    let mut fc = fresh_cache;
-    let mut ac = aged_cache;
-    let i_fresh = fresh.solve_amortized(&v, &mut fc).unwrap().currents;
-    let i_aged = aged.solve_amortized(&v, &mut ac).unwrap().currents;
-    for (f, a) in i_fresh.iter().zip(&i_aged) {
+    let mut cache = SolverCache::for_circuit(&fresh);
+    let i_fresh = fresh.solve_amortized(&v, &mut cache).unwrap().currents;
+    assert!(cache.warm_start().is_some());
+    let aged_report = aged.solve_amortized(&v, &mut cache).unwrap();
+    assert!(
+        !aged_report.warm_start,
+        "aged tile warm-started from the undrifted tile's operating point"
+    );
+    assert_eq!(cache.key(), aged.solver_key());
+    assert_eq!(aged_report, aged.solve(&v).unwrap());
+
+    // And the solves really differ: the aged tile conducts less.
+    for (f, a) in i_fresh.iter().zip(&aged_report.currents) {
         assert!(a < f, "aged current {a} must sit below fresh {f}");
     }
 }
 
 #[test]
-fn identical_drifted_tiles_do_share_a_factorization() {
+fn identical_drifted_tiles_key_equal() {
     let params = CrossbarParams::builder(SIZE, SIZE).build().unwrap();
     let a = drifted_circuit(&params, 1e4);
     let b = drifted_circuit(&params, 1e4);
     assert_eq!(a.solver_key(), b.solver_key());
-    let ca = SolverCache::for_circuit(&a);
-    let cb = SolverCache::for_circuit(&b);
-    assert!(
-        Arc::ptr_eq(ca.factorization(), cb.factorization()),
-        "same post-drift conductances must hit the process-wide registry"
-    );
+
+    // Equal keys make the tiles interchangeable: a cache warmed on one
+    // keeps its warm start when handed the other.
+    let v = vec![params.v_supply; SIZE];
+    let mut cache = SolverCache::for_circuit(&a);
+    a.solve_amortized(&v, &mut cache).unwrap();
+    let again = b.solve_amortized(&v, &mut cache).unwrap();
+    assert!(again.warm_start);
+    assert_eq!(again.newton_iterations, 0);
 }
 
 #[test]
-fn identity_drift_shares_with_the_raw_target() {
+fn identity_drift_keys_like_the_raw_target() {
     let params = CrossbarParams::builder(SIZE, SIZE).build().unwrap();
     let through_zoo = drifted_circuit(&params, 1.0);
     let raw = CrossbarCircuit::new(&params, &target(&params)).unwrap();
