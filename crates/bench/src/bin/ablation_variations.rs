@@ -11,18 +11,33 @@
 //! cargo run --release -p geniex-bench --bin ablation_variations
 //! ```
 
-use funcsim::{evaluate_spec, AnalyticalEngine, ArchConfig, IdealEngine, VariationEngine};
+use funcsim::{evaluate_spec, AnalyticalEngine, ArchConfig, IdealEngine, ZooEngine};
 use geniex_bench::setup::{accuracy_design_point, results_dir, standard_workload, DEFAULT_SIZE};
 use geniex_bench::table::{fix, pct, Table};
 use vision::{rescale_for_fxp, SynthSpec, SynthVision};
-use xbar::VariationConfig;
+use xbar::zoo::{LognormalSpread, NonIdealityStack, StuckAtFaults};
+use xbar::XbarError;
+
+const SEED: u64 = 1234;
+
+/// Lognormal spread `sigma`, then stuck-at faults split evenly
+/// between the two rails at total rate `stuck`. Programming-stage
+/// models apply in push order, so a stuck cell stays at its rail.
+fn variation_stack(sigma: f64, stuck: f64) -> Result<NonIdealityStack, XbarError> {
+    NonIdealityStack::new(SEED)
+        .with_model(Box::new(LognormalSpread { sigma }))?
+        .with_model(Box::new(StuckAtFaults {
+            stuck_off_rate: stuck / 2.0,
+            stuck_on_rate: stuck / 2.0,
+        }))
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = geniex_bench::manifest::start(
         "ablation_variations",
         &[
             ("size", telemetry::Json::from(DEFAULT_SIZE)),
-            ("seed", telemetry::Json::from(1234u64)),
+            ("seed", telemetry::Json::from(SEED)),
         ],
     );
     let workload = standard_workload(SynthSpec::SynthS);
@@ -43,23 +58,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (0.0, 0.05),
         (0.2, 0.01),
     ] {
-        let config = VariationConfig {
-            conductance_sigma: sigma,
-            stuck_off_rate: stuck / 2.0,
-            stuck_on_rate: stuck / 2.0,
-            seed: 1234,
-        };
         let ideal = evaluate_spec(
             spec.clone(),
             &arch,
-            &VariationEngine::new(IdealEngine, config)?,
+            &ZooEngine::new(IdealEngine, variation_stack(sigma, stuck)?),
             &workload.test,
             16,
         )?;
         let analytical = evaluate_spec(
             spec.clone(),
             &arch,
-            &VariationEngine::new(AnalyticalEngine, config)?,
+            &ZooEngine::new(AnalyticalEngine, variation_stack(sigma, stuck)?),
             &workload.test,
             16,
         )?;

@@ -23,10 +23,8 @@
 //!   integer GEMV, row/column permutation equivariance, linear-regime
 //!   voltage scaling `I(αV) ≈ αI(V)`, and batch/single bit-identity.
 //!
-//! The non-ideality zoo (`xbar::zoo`) contributes laws to all three
-//! families: a differential oracle proving the migrated variation
-//! models bit-identical to the frozen pre-zoo fused pass, invariants
-//! for zero-strength identity, seed determinism across thread counts,
+//! The non-ideality zoo (`xbar::zoo`) contributes invariants for
+//! zero-strength identity, seed determinism across thread counts,
 //! per-model RNG stream independence and monotone degradation in
 //! strength, and a metamorphic batch/single read-noise relation.
 //!

@@ -2,23 +2,17 @@
 //!
 //! Every zoo model is held to the same contract: zero strength is the
 //! *exact* identity, the same seed always reproduces the same draw at
-//! any thread count, degradation is monotone in strength, and the
-//! models migrated from the fused `apply_variations` pass reproduce it
-//! bit-for-bit. The differential migration law carries its own frozen
-//! copy of the pre-refactor algorithm, so a regression in either the
-//! production code or the migration wrapper trips it.
+//! any thread count, adding a model never perturbs another model's
+//! draws, and degradation is monotone in strength.
 
 use crate::gen;
 use crate::{Category, Law};
 use proptest::TestRng;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use xbar::zoo::{ConductanceDrift, LognormalSpread, NonIdealityStack, ReadNoise, StuckAtFaults};
-use xbar::{ConductanceMatrix, CrossbarParams, VariationConfig, XbarError};
+use xbar::{ConductanceMatrix, CrossbarParams, XbarError};
 
 pub(crate) fn laws() -> Vec<Box<dyn Law>> {
     vec![
-        Box::new(MigrationBitIdentity),
         Box::new(ZeroStrengthIdentity),
         Box::new(SeedDeterminism),
         Box::new(StreamIndependence),
@@ -37,101 +31,6 @@ fn random_target(rng: &mut TestRng) -> Result<(CrossbarParams, ConductanceMatrix
     let levels = gen::vec_f64(rng, rows * cols, 0.05, 0.95);
     let g = ConductanceMatrix::from_levels(&params, &levels)?;
     Ok((params, g))
-}
-
-/// A frozen copy of the pre-zoo `apply_variations` algorithm: one
-/// fused `StdRng` stream seeded from `config.seed`, one fault roll and
-/// one Box–Muller spread sample per cell. The production code has
-/// since been migrated onto the `NonIdeality` trait; this reference
-/// must never change.
-fn frozen_reference(
-    params: &CrossbarParams,
-    target: &ConductanceMatrix,
-    config: &VariationConfig,
-) -> ConductanceMatrix {
-    fn standard_normal(rng: &mut StdRng) -> f64 {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let g_on = params.g_on();
-    let g_off = params.g_off();
-    let mut out = target.clone();
-    for i in 0..params.rows {
-        for j in 0..params.cols {
-            let fault_roll: f64 = rng.gen();
-            let z = standard_normal(&mut rng);
-            let g = if fault_roll < config.stuck_off_rate {
-                g_off
-            } else if fault_roll < config.stuck_off_rate + config.stuck_on_rate {
-                g_on
-            } else if config.conductance_sigma > 0.0 {
-                (target.get(i, j) * (config.conductance_sigma * z).exp()).clamp(0.0, g_on)
-            } else {
-                target.get(i, j)
-            };
-            out.set(i, j, g);
-        }
-    }
-    out
-}
-
-/// The migrated variation/stuck-at model must reproduce the
-/// pre-refactor fused pass bit-for-bit, at every tile index.
-struct MigrationBitIdentity;
-
-impl Law for MigrationBitIdentity {
-    fn name(&self) -> &'static str {
-        "oracle/zoo_migration_bit_identity"
-    }
-    fn category(&self) -> Category {
-        Category::Oracle
-    }
-    fn tolerance(&self) -> &'static str {
-        "exact bit identity (==) against the frozen pre-zoo apply_variations algorithm"
-    }
-    fn check(&self, rng: &mut TestRng) -> Result<(), String> {
-        let (params, target) = random_target(rng).map_err(|e| e.to_string())?;
-        let config = VariationConfig {
-            conductance_sigma: gen::f64_in(rng, 0.0, 0.4),
-            stuck_off_rate: gen::f64_in(rng, 0.0, 0.15),
-            stuck_on_rate: gen::f64_in(rng, 0.0, 0.15),
-            seed: rng.next_u64(),
-        };
-        let stack = NonIdealityStack::from_variation(&config).map_err(|e| e.to_string())?;
-        for tile in [0u64, 1, 7] {
-            let migrated = stack
-                .program(&params, &target, tile)
-                .map_err(|e| e.to_string())?;
-            let reference = frozen_reference(
-                &params,
-                &target,
-                &VariationConfig {
-                    seed: config.seed.wrapping_add(tile),
-                    ..config
-                },
-            );
-            if migrated != reference {
-                let diff = migrated
-                    .as_slice()
-                    .iter()
-                    .zip(reference.as_slice())
-                    .filter(|(a, b)| a != b)
-                    .count();
-                return Err(format!(
-                    "migrated variation diverged from the frozen fused pass on tile \
-                     {tile}: {diff} of {} cells differ (sigma {}, rates {}/{}, seed {})",
-                    migrated.as_slice().len(),
-                    config.conductance_sigma,
-                    config.stuck_off_rate,
-                    config.stuck_on_rate,
-                    config.seed
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Every model at zero strength must be the exact identity — at both
@@ -265,7 +164,7 @@ impl Law for SeedDeterminism {
 /// Adding a model must never perturb another model's draws: in a
 /// `[lognormal]` vs `[lognormal, stuck_at]` stack under one seed,
 /// every cell the fault pass left alone carries the identical spread
-/// sample (the old fused pass violated exactly this).
+/// sample (one shared stream would violate exactly this).
 struct StreamIndependence;
 
 impl Law for StreamIndependence {

@@ -49,7 +49,6 @@ mod fixed;
 mod matrix;
 mod network;
 mod record;
-mod variation;
 mod zoo;
 
 pub use arch::{ArchConfig, WeightMapping};
@@ -61,5 +60,4 @@ pub use fixed::{digit_count, rescale_saturate, split_digits, FxpFormat};
 pub use matrix::ProgrammedMatrix;
 pub use network::{evaluate_spec, CrossbarNetwork};
 pub use record::{harvest_stimuli, RecordingEngine, StimulusLog, WorkloadStimulus};
-pub use variation::VariationEngine;
 pub use zoo::ZooEngine;

@@ -37,11 +37,6 @@ impl<E: CrossbarEngine> ZooEngine<E> {
             tile_counter: AtomicU64::new(0),
         }
     }
-
-    /// The wrapped stack.
-    pub fn stack(&self) -> &NonIdealityStack {
-        &self.stack
-    }
 }
 
 impl<E: CrossbarEngine> CrossbarEngine for ZooEngine<E> {

@@ -69,7 +69,6 @@ pub mod netlist;
 pub mod nf;
 mod params;
 pub mod sweep;
-mod variation;
 pub mod zoo;
 
 pub use analytical::AnalyticalModel;
@@ -78,7 +77,6 @@ pub use circuit::{CrossbarCircuit, NewtonOptions, SolveReport};
 pub use conductance::ConductanceMatrix;
 pub use error::XbarError;
 pub use params::{CrossbarParams, CrossbarParamsBuilder, DeviceParams, NonIdealityConfig};
-pub use variation::{apply_variations, VariationConfig};
 pub use zoo::{NonIdeality, NonIdealityStack, Stage};
 
 use linalg::LinalgError;

@@ -1,16 +1,15 @@
 //! The pluggable non-ideality zoo.
 //!
-//! GENIEx's thesis is generalization across *many* non-ideality
-//! regimes; the fixed menu in [`crate::apply_variations`] (one fused
-//! lognormal + stuck-at pass) does not compose and cannot express
-//! effects that act at other points of a tile's lifetime. This module
+//! The paper notes that non-ideality effects "get exacerbated further
+//! due to the device variations" (Section 1), and GENIEx's thesis is
+//! generalization across *many* non-ideality regimes. A fixed, fused
+//! menu of imperfections does not compose and cannot express effects
+//! that act at other points of a tile's lifetime, so this module
 //! factors every imperfection into a [`NonIdeality`] — a pluggable,
 //! seeded transform with a declared lifecycle [`Stage`]:
 //!
 //! * **Programming-time** — applied once when a target conductance
-//!   pattern is written: [`LognormalSpread`], [`StuckAtFaults`], and
-//!   [`LegacyVariation`] (the bit-exact migration of the old fused
-//!   pass).
+//!   pattern is written: [`LognormalSpread`] and [`StuckAtFaults`].
 //! * **Time-dependent** — applied to the programmed state as a
 //!   function of elapsed time: [`ConductanceDrift`],
 //!   `g(t) = g0 · (t/t0)^{-ν}`.
@@ -27,9 +26,9 @@
 //! derived from `(stack seed XOR fnv1a64(model name), case index)` —
 //! the same SplitMix64 scheme `conformance::case_rng` uses to
 //! de-correlate laws. Because streams are keyed by *name*, adding or
-//! removing one model never perturbs another model's draws (the old
-//! fused pass interleaved all draws on one stream, so enabling
-//! stuck-at faults shifted every spread sample). The case index is
+//! removing one model never perturbs another model's draws (one
+//! shared stream would interleave the draws, so enabling stuck-at
+//! faults would shift every spread sample). The case index is
 //! the tile number for programming-stage models and a `(tile, sample)`
 //! mix for read-stage models, so tiles can be programmed in parallel
 //! in any order with bit-identical results.
@@ -54,8 +53,8 @@
 
 use crate::conductance::ConductanceMatrix;
 use crate::params::CrossbarParams;
-use crate::variation::{apply_variations, VariationConfig};
 use crate::XbarError;
+use store::fnv1a64;
 
 /// Lifecycle stage at which a non-ideality acts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,30 +65,6 @@ pub enum Stage {
     TimeDependent,
     /// Applied to the output currents of every MVM evaluation.
     ReadTime,
-}
-
-impl Stage {
-    /// Stable lowercase tag used in reports and manifests.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Stage::Programming => "programming",
-            Stage::TimeDependent => "time-dependent",
-            Stage::ReadTime => "read-time",
-        }
-    }
-}
-
-/// FNV-1a hash of a byte string — the same stream-keying hash the
-/// in-tree `proptest` crate and `conformance::case_rng` use.
-/// Duplicated here (15 lines) rather than pulling the test-strategy
-/// crate into `xbar`'s production dependency set.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A deterministic SplitMix64 sub-stream private to one model.
@@ -496,59 +471,6 @@ impl NonIdeality for ReadNoise {
     }
 }
 
-/// The migrated fused variation pass: bit-for-bit the transform
-/// [`apply_variations`] has always produced, wrapped as a trait model
-/// so existing `VariationConfig`-based call sites keep their exact
-/// outputs through the zoo.
-///
-/// Unlike the split-stream models above, this one reproduces the
-/// pre-zoo RNG scheme: a single `StdRng` stream seeded from
-/// `config.seed + tile`, drawing one fault roll and one spread sample
-/// per cell regardless of which effects are enabled. New code should
-/// compose [`LognormalSpread`] and [`StuckAtFaults`] instead, whose
-/// independent sub-streams don't perturb each other.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LegacyVariation {
-    /// The fused-pass configuration (carries its own seed).
-    pub config: VariationConfig,
-}
-
-impl NonIdeality for LegacyVariation {
-    fn name(&self) -> &'static str {
-        "variation"
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::Programming
-    }
-
-    fn strength(&self) -> f64 {
-        self.config.conductance_sigma + self.config.stuck_off_rate + self.config.stuck_on_rate
-    }
-
-    fn validate(&self) -> Result<(), XbarError> {
-        self.config.validate()
-    }
-
-    fn apply_conductance(
-        &self,
-        params: &CrossbarParams,
-        g: &mut ConductanceMatrix,
-        ctx: &ProgramCtx,
-    ) -> Result<(), XbarError> {
-        // Per-tile seed advance matches the pre-zoo funcsim
-        // VariationEngine (base seed + tile counter); the stack seed
-        // is deliberately ignored so outputs stay bit-identical to
-        // the pre-refactor path.
-        let config = VariationConfig {
-            seed: self.config.seed.wrapping_add(ctx.tile),
-            ..self.config
-        };
-        *g = apply_variations(params, g, &config)?;
-        Ok(())
-    }
-}
-
 /// A seeded, ordered collection of non-ideality models.
 ///
 /// [`NonIdealityStack::program`] applies the programming-stage models
@@ -556,6 +478,10 @@ impl NonIdeality for LegacyVariation {
 /// [`NonIdealityStack::read`] applies the read-stage models to one
 /// MVM's output currents. Identity models are skipped outright, so
 /// zero strength is exact.
+///
+/// Programming-stage models apply in push order and the last writer
+/// wins per cell, so `[lognormal, stuck_at]` pins stuck cells at their
+/// rail while `[stuck_at, lognormal]` spreads them.
 pub struct NonIdealityStack {
     seed: u64,
     models: Vec<Box<dyn NonIdeality>>,
@@ -568,16 +494,6 @@ impl NonIdealityStack {
             seed,
             models: Vec::new(),
         }
-    }
-
-    /// The bit-exact migration of a [`VariationConfig`]: a stack
-    /// holding one [`LegacyVariation`] model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`VariationConfig::validate`] failures.
-    pub fn from_variation(config: &VariationConfig) -> Result<Self, XbarError> {
-        NonIdealityStack::new(config.seed).with_model(Box::new(LegacyVariation { config: *config }))
     }
 
     /// Adds a model, builder style.
@@ -608,16 +524,6 @@ impl NonIdealityStack {
         }
         self.models.push(model);
         Ok(())
-    }
-
-    /// The stack seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The registered models, in push order.
-    pub fn models(&self) -> &[Box<dyn NonIdeality>] {
-        &self.models
     }
 
     /// True when no model changes anything.
@@ -806,6 +712,63 @@ mod tests {
     }
 
     #[test]
+    fn spread_is_centered_and_clamped() {
+        let p = CrossbarParams::builder(16, 16).build().unwrap();
+        let g0 = p.g_on() * 0.5;
+        let g = ConductanceMatrix::uniform(16, 16, g0);
+        let out = NonIdealityStack::new(3)
+            .with_model(Box::new(LognormalSpread { sigma: 0.1 }))
+            .unwrap()
+            .program(&p, &g, 0)
+            .unwrap();
+        let mean: f64 = out.as_slice().iter().sum::<f64>() / 256.0;
+        // Lognormal with small sigma: mean close to the target.
+        assert!((mean - g0).abs() < 0.05 * g0, "mean {mean} vs target {g0}");
+        assert!(out
+            .as_slice()
+            .iter()
+            .all(|&x| (0.0..=p.g_on()).contains(&x)));
+        // Actually spread out.
+        assert!(out.as_slice().iter().any(|&x| (x - g0).abs() > 0.01 * g0));
+    }
+
+    #[test]
+    fn stuck_rates_are_respected() {
+        let p = CrossbarParams::builder(16, 16).build().unwrap();
+        let g = ConductanceMatrix::uniform(16, 16, p.g_on() * 0.5);
+        let stuck = StuckAtFaults {
+            stuck_off_rate: 0.25,
+            stuck_on_rate: 0.25,
+        };
+        // The stuck-at stream is keyed by name, so the lone model under
+        // the same seed shows which cells the composed stack sticks.
+        let faults = NonIdealityStack::new(9)
+            .with_model(Box::new(stuck))
+            .unwrap()
+            .program(&p, &g, 0)
+            .unwrap();
+        let out = NonIdealityStack::new(9)
+            .with_model(Box::new(LognormalSpread { sigma: 0.2 }))
+            .unwrap()
+            .with_model(Box::new(stuck))
+            .unwrap()
+            .program(&p, &g, 0)
+            .unwrap();
+        let (g_on, g_off) = (p.g_on(), p.g_off());
+        for (&f, &x) in faults.as_slice().iter().zip(out.as_slice()) {
+            if f == g_off || f == g_on {
+                // Pushed after the spread, the fault is the last writer.
+                assert_eq!(x, f, "stuck cell left its rail after the spread");
+            }
+        }
+        let count = |rail: f64| faults.as_slice().iter().filter(|&&f| f == rail).count();
+        let (stuck_off, stuck_on) = (count(g_off), count(g_on));
+        // 256 devices at 25% each: expect roughly 64 ± a generous margin.
+        assert!((30..=100).contains(&stuck_off), "stuck off {stuck_off}");
+        assert!((30..=100).contains(&stuck_on), "stuck on {stuck_on}");
+    }
+
+    #[test]
     fn drift_attenuates_monotonically() {
         let p = params();
         let g = mid_target(&p);
@@ -856,29 +819,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_variation_matches_apply_variations() {
-        let p = params();
-        let g = mid_target(&p);
-        let config = VariationConfig {
-            conductance_sigma: 0.2,
-            stuck_off_rate: 0.05,
-            stuck_on_rate: 0.05,
-            seed: 11,
-        };
-        let stack = NonIdealityStack::from_variation(&config).unwrap();
-        let migrated = stack.program(&p, &g, 0).unwrap();
-        let legacy = apply_variations(&p, &g, &config).unwrap();
-        assert_eq!(migrated, legacy);
-        // Tile k advances the legacy seed by k, as the pre-zoo
-        // funcsim VariationEngine did.
-        let tile3 = stack.program(&p, &g, 3).unwrap();
-        let legacy3 = apply_variations(&p, &g, &VariationConfig { seed: 14, ..config }).unwrap();
-        assert_eq!(tile3, legacy3);
-    }
-
-    #[test]
     fn invalid_models_rejected() {
         assert!(LognormalSpread { sigma: -0.1 }.validate().is_err());
+        assert!(StuckAtFaults {
+            stuck_off_rate: 1.5,
+            stuck_on_rate: 0.0
+        }
+        .validate()
+        .is_err());
         assert!(StuckAtFaults {
             stuck_off_rate: 0.6,
             stuck_on_rate: 0.6

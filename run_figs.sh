@@ -4,7 +4,7 @@
 # results/logs/<bin>.jsonl, and a progress ledger with wall times in
 # results/logs/progress.txt (truncated at the start of each run).
 set -u -o pipefail
-cd /root/repo
+cd "$(dirname "$0")"
 mkdir -p results/logs
 # Worker-thread count for the shared pool (results are identical for
 # any value; this only affects wall time).

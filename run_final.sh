@@ -1,5 +1,7 @@
 #!/bin/bash
-cd /root/repo
+# run_phase records the status of the command, not of tee.
+set -o pipefail
+cd "$(dirname "$0")"
 mkdir -p results/logs
 export GENIEX_THREADS="${GENIEX_THREADS:-$(nproc)}"
 # See run_figs.sh: artifact-store mode for warm reruns.
@@ -21,8 +23,8 @@ run_phase() {
   fi
   echo "=== $label done $(date +%H:%M:%S) exit $status wall $((SECONDS - t0))s peak_rss ${rss:-?}kB ===" >> results/logs/progress.txt
 }
-run_phase tests /root/repo/test_output.txt cargo test --workspace
-run_phase bench /root/repo/bench_output.txt cargo bench --workspace
+run_phase tests test_output.txt cargo test --workspace
+run_phase bench bench_output.txt cargo bench --workspace
 
 # Optional serve benchmark: start the inference server with one
 # compute thread, wait for the READY line, run the canonical paired
@@ -43,7 +45,7 @@ if [ "${GENIEX_SERVE_BENCH:-0}" = "1" ]; then
     sleep 2
   done
   if [ "$serve_ready" = "1" ]; then
-    run_phase serve_bench /root/repo/serve_bench_output.txt \
+    run_phase serve_bench serve_bench_output.txt \
       env GENIEX_THREADS=1 ./target/release/loadgen --compare --reps 3 \
         --requests 600 --concurrency 96 --batch 64 --linger-us 1000
     kill -TERM "$SERVE_PID" 2>/dev/null

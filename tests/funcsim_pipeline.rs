@@ -1,14 +1,15 @@
 //! Integration tests of the functional simulator spanning crates:
 //! mapping-scheme equivalence, cost-model cross-validation against
-//! observed operation counts, and variation-decorator behaviour.
+//! observed operation counts, and non-ideality-zoo behaviour.
 
 use funcsim::cost::{estimate_cost, CostModel};
 use funcsim::{
     evaluate_spec, ArchConfig, CrossbarNetwork, IdealEngine, RecordingEngine, StimulusLog,
-    VariationEngine, WeightMapping,
+    WeightMapping, ZooEngine,
 };
 use vision::{rescale_for_fxp, MicroResNet, SynthSpec, SynthVision};
-use xbar::{CrossbarParams, VariationConfig};
+use xbar::zoo::{NonIdealityStack, StuckAtFaults};
+use xbar::CrossbarParams;
 
 fn arch(size: usize) -> ArchConfig {
     ArchConfig {
@@ -93,15 +94,13 @@ fn variations_degrade_accuracy_monotonically_in_fault_rate() {
         .unwrap();
     let mut previous = 0.0f64;
     for stuck in [0.01, 0.05, 0.2] {
-        let engine = VariationEngine::new(
-            IdealEngine,
-            VariationConfig {
+        let stack = NonIdealityStack::new(11)
+            .with_model(Box::new(StuckAtFaults {
                 stuck_off_rate: stuck,
-                seed: 11,
-                ..VariationConfig::none()
-            },
-        )
-        .unwrap();
+                stuck_on_rate: 0.0,
+            }))
+            .unwrap();
+        let engine = ZooEngine::new(IdealEngine, stack);
         let noisy = CrossbarNetwork::build(spec.clone(), &a, &engine)
             .unwrap()
             .forward(&images)
