@@ -7,7 +7,10 @@
 //! floating-point reductions shows up as a failed diff. Progress and
 //! configuration noise goes to stderr.
 
-use funcsim::{evaluate_spec, AnalyticalEngine, ArchConfig, GeniexEngine, IdealEngine};
+use funcsim::{
+    harvest_stimuli, AnalyticalEngine, ArchConfig, CrossbarEngine, CrossbarNetwork, GeniexEngine,
+    IdealEngine,
+};
 use geniex::dataset::{generate, DatasetConfig};
 use geniex::{Geniex, TrainConfig};
 use geniex_bench::setup::accuracy_design_point;
@@ -126,30 +129,46 @@ fn main() {
     let acc = vision::evaluate(&mut model, &train, 4).expect("cnn evaluation");
     println!("cnn train_acc_bits={:016x}", acc.to_bits());
 
-    // 6. Functional simulation (tile loop + bit-slice accumulation).
+    // 6. Functional simulation (tile fan-out + bit-slice accumulation).
+    //    The logits' bits are hashed, not just the accuracies: a barely
+    //    trained CNN scores chance on every engine, so an accuracy alone
+    //    cannot show a logit change.
     let calib = SynthVision::generate(SynthSpec::SynthS, 1, 1).expect("calib set");
     let (calib_x, _) = calib.full_batch().expect("calib batch");
     let spec = rescale_for_fxp(&model.to_spec(), &calib_x, 3.5).expect("fxp rescale");
     let arch = ArchConfig::default().with_xbar(params.clone());
     let subset = SynthVision::generate(SynthSpec::SynthS, 1, 999).expect("eval subset");
-    let ideal = evaluate_spec(spec.clone(), &arch, &IdealEngine, &subset, 4).expect("ideal eval");
-    let analytical =
-        evaluate_spec(spec.clone(), &arch, &AnalyticalEngine, &subset, 4).expect("analytical eval");
-    let geniex =
-        evaluate_spec(spec, &arch, &GeniexEngine::new(surrogate), &subset, 4).expect("geniex eval");
-    println!(
-        "funcsim ideal_bits={:016x} analytical_bits={:016x} geniex_bits={:016x}",
-        ideal.to_bits(),
-        analytical.to_bits(),
-        geniex.to_bits()
-    );
+    let (images, labels) = subset.full_batch().expect("eval batch");
+    let geniex_engine = GeniexEngine::new(surrogate);
+    let engines: [(&str, &dyn CrossbarEngine); 3] = [
+        ("ideal_accuracy", &IdealEngine),
+        ("analytical_accuracy", &AnalyticalEngine),
+        ("geniex_accuracy", &geniex_engine),
+    ];
+    let mut accuracies = Vec::new();
+    for (key, engine) in engines {
+        let net = CrossbarNetwork::build(spec.clone(), &arch, engine).expect("network programming");
+        let logits = net.forward(&images).expect("crossbar inference");
+        let acc = nn::loss::accuracy(&logits, &labels).expect("accuracy");
+        let mut d = Digest::new();
+        d.push_f32s(logits.data());
+        println!(
+            "funcsim {} acc_bits={:016x} logits={}",
+            engine.name(),
+            acc.to_bits(),
+            d.hex()
+        );
+        accuracies.push((key, telemetry::Json::from(acc)));
+    }
 
-    geniex_bench::manifest::finish(
-        run,
-        &[
-            ("ideal_accuracy", telemetry::Json::from(ideal)),
-            ("analytical_accuracy", telemetry::Json::from(analytical)),
-            ("geniex_accuracy", telemetry::Json::from(geniex)),
-        ],
-    );
+    // 7. Stimulus harvest (a sample over tiles the pool interleaves).
+    let stimuli = harvest_stimuli(spec, &arch, &images, 64, 11).expect("stimulus harvest");
+    let mut d = Digest::new();
+    for s in &stimuli {
+        d.push_f32s(&s.v_levels);
+        d.push_f32s(&s.g_levels);
+    }
+    println!("harvest n={} digest={}", stimuli.len(), d.hex());
+
+    geniex_bench::manifest::finish(run, &accuracies);
 }

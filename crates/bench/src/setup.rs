@@ -544,47 +544,6 @@ pub fn accuracy_design_point(size: usize) -> CrossbarParams {
         .expect("valid design point")
 }
 
-/// Evaluates a programmed crossbar network's accuracy with the test
-/// set batched across the shared worker pool (`GENIEX_THREADS`).
-///
-/// `CrossbarNetwork::forward` takes `&self` and every backend is
-/// `Send + Sync`, so workers share the programmed state. Batches map
-/// in parallel and the correct counts reduce in batch-index order, so
-/// the result is identical for any thread count.
-///
-/// # Panics
-///
-/// Panics on inference failures (deterministic experiment setup).
-pub fn parallel_accuracy(
-    net: &funcsim::CrossbarNetwork,
-    data: &vision::SynthVision,
-    batch_size: usize,
-) -> f64 {
-    let indices: Vec<usize> = (0..data.len()).collect();
-    let batches: Vec<&[usize]> = indices.chunks(batch_size.max(1)).collect();
-    let counts = parallel::par_map_grained(&batches, 1, |piece| {
-        let (images, labels) = data.batch(piece).expect("batch assembly");
-        let logits = net.forward(&images).expect("crossbar inference");
-        let classes = net.classes();
-        let mut local = 0usize;
-        for (b, &label) in labels.iter().enumerate() {
-            let row = &logits.data()[b * classes..(b + 1) * classes];
-            let pred = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                .map(|(i, _)| i)
-                .expect("non-empty logits");
-            if pred == label {
-                local += 1;
-            }
-        }
-        local
-    });
-    let correct: usize = counts.into_iter().sum();
-    correct as f64 / data.len().max(1) as f64
-}
-
 /// Results directory used by all experiment binaries.
 pub fn results_dir() -> std::path::PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; results live at the repo root.

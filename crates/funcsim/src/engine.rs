@@ -93,38 +93,12 @@ fn check_batch(rows: usize, v_levels: &[f32], n: usize) -> Result<(), FuncsimErr
 }
 
 /// Dense `cols × rows` matvec in f64 over f32 level inputs, shared by
-/// the two linear backends.
-fn gemv_batch(
-    matrix: &[f64],
-    rows: usize,
-    cols: usize,
-    scale: f64,
-    v_levels: &[f32],
-    n: usize,
-) -> Vec<f64> {
-    // Each batch item's GEMV is independent and bit-identical whether
-    // it runs in the panel-blocked batch kernel, a thread chunk, or
-    // the serial loop, so the split is purely a scheduling choice.
-    // Small batches stay serial: below this flop count the fan-out
-    // overhead dominates.
-    const PAR_MIN_FLOPS: usize = 32 * 1024;
+/// the two linear backends and the GENIEx numerator. Tiles never fork:
+/// `ProgrammedMatrix::mvm_codes` already drives each tile from one pool
+/// task.
+fn gemv_batch(matrix: &[f64], cols: usize, scale: f64, v_levels: &[f32], n: usize) -> Vec<f64> {
     let mut out = vec![0.0f64; n * cols];
-    let pool = parallel::global();
-    if n > 1 && pool.threads() > 1 && n * rows * cols >= PAR_MIN_FLOPS {
-        let group = n.div_ceil(pool.threads() * 2).max(1);
-        pool.scope(|s| {
-            for (vb, ob) in v_levels
-                .chunks(group * rows)
-                .zip(out.chunks_mut(group * cols))
-            {
-                s.spawn(move || {
-                    kernels::gemv_levels_scaled_batch(matrix, vb, scale, ob, vb.len() / rows);
-                });
-            }
-        });
-    } else {
-        kernels::gemv_levels_scaled_batch(matrix, v_levels, scale, &mut out, n);
-    }
+    kernels::gemv_levels_scaled_batch(matrix, v_levels, scale, &mut out, n);
     out
 }
 
@@ -143,14 +117,7 @@ struct IdealTile {
 impl ProgrammedXbar for IdealTile {
     fn currents_batch(&self, v_levels: &[f32], n: usize) -> Result<Vec<f64>, FuncsimError> {
         check_batch(self.rows, v_levels, n)?;
-        Ok(gemv_batch(
-            &self.gt,
-            self.rows,
-            self.cols,
-            self.v_supply,
-            v_levels,
-            n,
-        ))
+        Ok(gemv_batch(&self.gt, self.cols, self.v_supply, v_levels, n))
     }
 }
 
@@ -196,14 +163,7 @@ struct AnalyticalTile {
 impl ProgrammedXbar for AnalyticalTile {
     fn currents_batch(&self, v_levels: &[f32], n: usize) -> Result<Vec<f64>, FuncsimError> {
         check_batch(self.rows, v_levels, n)?;
-        Ok(gemv_batch(
-            &self.m,
-            self.rows,
-            self.cols,
-            self.v_supply,
-            v_levels,
-            n,
-        ))
+        Ok(gemv_batch(&self.m, self.cols, self.v_supply, v_levels, n))
     }
 }
 
@@ -298,20 +258,15 @@ struct GeniexProgrammedTile {
 impl ProgrammedXbar for GeniexProgrammedTile {
     fn currents_batch(&self, v_levels: &[f32], n: usize) -> Result<Vec<f64>, FuncsimError> {
         check_batch(self.rows, v_levels, n)?;
-        // Ensemble members are independent; their predictions sum in
-        // member order, so the f32 accumulation matches the serial loop
-        // bit for bit at any thread count.
-        let members = parallel::par_map_grained(&self.tiles, 1, |tile| tile.f_r_batch(v_levels, n));
-        let mut iter = members.into_iter();
-        let mut f_r = iter.next().expect("ensemble is non-empty")?;
-        for member in iter {
-            let member = member?;
-            for (acc, m) in f_r.iter_mut().zip(&member) {
+        // Ensemble member predictions sum in member order.
+        let mut f_r = self.tiles[0].f_r_batch(v_levels, n)?;
+        for tile in &self.tiles[1..] {
+            for (acc, m) in f_r.iter_mut().zip(&tile.f_r_batch(v_levels, n)?) {
                 *acc += m;
             }
         }
         let scale = 1.0 / self.tiles.len() as f32;
-        let mut out = gemv_batch(&self.gt, self.rows, self.cols, self.v_supply, v_levels, n);
+        let mut out = gemv_batch(&self.gt, self.cols, self.v_supply, v_levels, n);
         for (i, fr) in out.iter_mut().zip(&f_r) {
             if *i != 0.0 {
                 *i /= (*fr * scale) as f64;

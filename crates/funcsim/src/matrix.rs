@@ -69,6 +69,17 @@ impl MatrixMetrics {
     }
 }
 
+/// One non-zero (input sign, tile row, input stream) step of an MVM.
+struct Step {
+    x_sign: i64,
+    tr: usize,
+    t: u32,
+    /// DAC levels, row-major `n × size`.
+    v_levels: Vec<f32>,
+    /// Per-vector digit sums, for the ADC pedestal.
+    d_sums: Vec<u64>,
+}
+
 /// A weight matrix (`m` outputs × `k` inputs) programmed onto
 /// crossbars, together with its bias, ready to evaluate fixed-point
 /// MVMs.
@@ -301,6 +312,46 @@ impl ProgrammedMatrix {
         }
     }
 
+    /// Builds one (sign, tile-row, stream) step: the DAC level panel
+    /// every tile in row `tr` reads and the per-vector digit sums, or
+    /// `None` when every digit is zero and the step drives no tile.
+    fn step(&self, x_codes: &[i64], n: usize, x_sign: i64, tr: usize, t: u32) -> Option<Step> {
+        let arch = &self.arch;
+        let size = arch.xbar.rows;
+        let d_level_max = ((1u64 << arch.stream_width) - 1) as f32;
+        let row_base = tr * size;
+        let rows_here = size.min(self.k - row_base);
+        let shift_t = t * arch.stream_width;
+        let mask = (1u64 << arch.stream_width) - 1;
+        let mut v_levels = vec![0.0f32; n * size];
+        let mut d_sums = vec![0u64; n];
+        let mut any_nonzero = false;
+        for b in 0..n {
+            let row = &mut v_levels[b * size..(b + 1) * size];
+            for i in 0..rows_here {
+                let code = x_codes[b * self.k + row_base + i];
+                let magnitude = if x_sign > 0 {
+                    code.max(0) as u64
+                } else {
+                    (-code).max(0) as u64
+                };
+                let digit = (magnitude >> shift_t) & mask;
+                if digit != 0 {
+                    row[i] = digit as f32 / d_level_max;
+                    d_sums[b] += digit;
+                    any_nonzero = true;
+                }
+            }
+        }
+        any_nonzero.then_some(Step {
+            x_sign,
+            tr,
+            t,
+            v_levels,
+            d_sums,
+        })
+    }
+
     /// Evaluates the MVM for `n` input-activation code vectors
     /// (row-major `n × k`, codes in the input format), producing output
     /// activation codes (row-major `n × m`).
@@ -343,140 +394,109 @@ impl ProgrammedMatrix {
         let arch = &self.arch;
         let size = arch.xbar.rows;
         let stream_count = digit_count(arch.input_format.magnitude_bits(), arch.stream_width);
-        let d_level_max = ((1u64 << arch.stream_width) - 1) as f32;
 
         // Which input sign parts are present?
         let has_neg = x_codes.iter().any(|&x| x < 0);
         let input_signs: &[i64] = if has_neg { &[1, -1] } else { &[1] };
 
-        // Accumulate at product precision.
-        let mut acc = vec![0i64; n * self.m];
+        // Every non-zero (sign, tile-row, stream) step, in serial order.
+        let mut steps = Vec::new();
+        for &x_sign in input_signs {
+            for tr in 0..self.tile_rows {
+                for t in 0..stream_count {
+                    steps.extend(self.step(x_codes, n, x_sign, tr, t));
+                }
+            }
+        }
 
-        let mut v_levels = vec![0.0f32; n * size];
-        let mut d_sums = vec![0u64; n];
-
-        // Every (tile-col, slice, sign) combination within one
-        // (sign, tile-row, stream) step reads the same input levels and
-        // drives a distinct programmed tile, so the combinations run in
-        // parallel; their counts merge into the i64 accumulator in
-        // combination order (integer adds are exact, so the result is
-        // identical for any GENIEX_THREADS — and any order).
+        // One task per (tile-col, slice, sign) combination. A task owns
+        // that combination's tile in every tile row and walks all steps
+        // in serial order, so each tile receives exactly the call
+        // sequence of a serial loop — the order stateful tiles
+        // (CircuitEngine warm starts, ZooTile read noise, RecordingXbar)
+        // depend on. Shifted counts accumulate into the task's own i64
+        // partial; integer adds are exact, so merging the partials in
+        // combination order gives the same bits for any GENIEX_THREADS.
         let combos: Vec<(usize, u32, usize)> = (0..self.tile_cols)
             .flat_map(|tc| {
                 (0..self.slice_count)
                     .flat_map(move |s| (0..self.weight_signs).map(move |sign| (tc, s, sign)))
             })
             .collect();
-
-        for &x_sign in input_signs {
-            for tr in 0..self.tile_rows {
-                let row_base = tr * size;
-                let rows_here = size.min(self.k - row_base);
-                for t in 0..stream_count {
-                    // Build the level matrix for this (sign, tile-row,
-                    // stream) and the per-vector digit sums.
-                    let shift_t = t * arch.stream_width;
-                    let mask = (1u64 << arch.stream_width) - 1;
-                    let mut any_nonzero = false;
-                    for b in 0..n {
-                        let mut dsum = 0u64;
-                        let row = &mut v_levels[b * size..(b + 1) * size];
-                        row.fill(0.0);
-                        for i in 0..rows_here {
-                            let code = x_codes[b * self.k + row_base + i];
-                            let magnitude = if x_sign > 0 {
-                                code.max(0) as u64
-                            } else {
-                                (-code).max(0) as u64
-                            };
-                            let digit = (magnitude >> shift_t) & mask;
-                            if digit != 0 {
-                                row[i] = digit as f32 / d_level_max;
-                                dsum += digit;
-                                any_nonzero = true;
-                            }
+        let partials = parallel::par_map_grained(
+            &combos,
+            1,
+            |&(tc, s, sign)| -> Result<Vec<i64>, FuncsimError> {
+                let w_sign: i64 = match arch.weight_mapping {
+                    WeightMapping::Differential => {
+                        if sign == 0 {
+                            1
+                        } else {
+                            -1
                         }
-                        d_sums[b] = dsum;
                     }
-                    if !any_nonzero {
-                        continue;
-                    }
-
-                    // One trace span per bit-stream step; the per-tile
-                    // spans below nest under the pool's task spans on
-                    // whichever worker runs them.
-                    let _stream_trace = tracing.then(|| {
+                    WeightMapping::Offset => 1,
+                };
+                let mut partial = vec![0i64; n * size];
+                let mut counts = vec![0i64; n * size];
+                for step in &steps {
+                    let _tile_trace = tracing.then(|| {
                         telemetry::trace_scope(
-                            "funcsim.stream",
+                            "funcsim.tile",
                             vec![
-                                ("sign".to_string(), telemetry::Json::from(x_sign)),
-                                ("tile_row".to_string(), telemetry::Json::from(tr)),
-                                ("stream".to_string(), telemetry::Json::from(u64::from(t))),
+                                ("input_sign".to_string(), telemetry::Json::from(step.x_sign)),
+                                ("tile_row".to_string(), telemetry::Json::from(step.tr)),
+                                (
+                                    "stream".to_string(),
+                                    telemetry::Json::from(u64::from(step.t)),
+                                ),
+                                ("tile_col".to_string(), telemetry::Json::from(tc)),
+                                ("slice".to_string(), telemetry::Json::from(u64::from(s))),
+                                ("weight_sign".to_string(), telemetry::Json::from(sign)),
                             ],
                         )
                     });
-                    let v_levels_ref = &v_levels;
-                    let d_sums_ref = &d_sums;
-                    let combo_counts = parallel::par_map_grained(
-                        &combos,
-                        1,
-                        |&(tc, s, sign)| -> Result<Vec<i64>, FuncsimError> {
-                            let _tile_trace = telemetry::trace_active().then(|| {
-                                telemetry::trace_scope(
-                                    "funcsim.tile",
-                                    vec![
-                                        ("tile_col".to_string(), telemetry::Json::from(tc)),
-                                        ("slice".to_string(), telemetry::Json::from(u64::from(s))),
-                                        ("sign".to_string(), telemetry::Json::from(sign)),
-                                    ],
-                                )
-                            });
-                            let tile = self.tile(tr, tc, s, sign);
-                            shared_metrics().tile_ops.inc();
-                            self.metrics.engine_ops.inc();
-                            let currents = self
-                                .metrics
-                                .engine_time
-                                .time(|| tile.currents_batch(v_levels_ref, n))?;
-                            let mut counts = vec![0i64; n * size];
-                            self.adc_to_counts(&currents, d_sums_ref, &mut counts);
-                            Ok(counts)
-                        },
-                    );
-                    for (&(tc, s, sign), counts) in combos.iter().zip(combo_counts) {
-                        let counts = counts?;
-                        let col_base = tc * size;
-                        let cols_here = size.min(self.m - col_base);
-                        let w_sign: i64 = match arch.weight_mapping {
-                            WeightMapping::Differential => {
-                                if sign == 0 {
-                                    1
-                                } else {
-                                    -1
-                                }
-                            }
-                            WeightMapping::Offset => 1,
-                        };
-                        let shift = shift_t + s * arch.slice_width;
-                        for b in 0..n {
-                            let dst = &mut acc[b * self.m + col_base..];
-                            let src = &counts[b * size..b * size + cols_here];
-                            for (j, &c) in src.iter().enumerate() {
-                                dst[j] += x_sign * w_sign * (c << shift);
-                            }
-                        }
+                    let tile = self.tile(step.tr, tc, s, sign);
+                    shared_metrics().tile_ops.inc();
+                    self.metrics.engine_ops.inc();
+                    let currents = self
+                        .metrics
+                        .engine_time
+                        .time(|| tile.currents_batch(&step.v_levels, n))?;
+                    self.adc_to_counts(&currents, &step.d_sums, &mut counts);
+                    let shift = step.t * arch.stream_width + s * arch.slice_width;
+                    for (p, &c) in partial.iter_mut().zip(&counts) {
+                        *p += step.x_sign * w_sign * (c << shift);
                     }
+                }
+                Ok(partial)
+            },
+        );
 
-                    // Offset mapping: subtract the constant-weight
-                    // pedestal `offset_code · Σ x_i` (for this tile row
-                    // and stream, at this stream's shift).
-                    if matches!(arch.weight_mapping, WeightMapping::Offset) {
-                        for b in 0..n {
-                            let corr = (x_sign * self.offset_code * (d_sums[b] as i64)) << shift_t;
-                            for j in 0..self.m {
-                                acc[b * self.m + j] -= corr;
-                            }
-                        }
+        // Accumulate at product precision.
+        let mut acc = vec![0i64; n * self.m];
+        for (&(tc, _, _), partial) in combos.iter().zip(partials) {
+            let partial = partial?;
+            let col_base = tc * size;
+            let cols_here = size.min(self.m - col_base);
+            for b in 0..n {
+                let dst = &mut acc[b * self.m + col_base..b * self.m + col_base + cols_here];
+                for (d, &p) in dst.iter_mut().zip(&partial[b * size..]) {
+                    *d += p;
+                }
+            }
+        }
+
+        // Offset mapping: subtract the constant-weight pedestal
+        // `offset_code · Σ x_i` of every step, at its stream's shift.
+        if matches!(arch.weight_mapping, WeightMapping::Offset) {
+            for step in &steps {
+                let shift_t = step.t * arch.stream_width;
+                for b in 0..n {
+                    let corr =
+                        (step.x_sign * self.offset_code * (step.d_sums[b] as i64)) << shift_t;
+                    for j in 0..self.m {
+                        acc[b * self.m + j] -= corr;
                     }
                 }
             }
@@ -527,6 +547,7 @@ mod tests {
     use crate::fixed::FxpFormat;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Mutex;
     use xbar::CrossbarParams;
 
     /// Small-crossbar arch with a generous ADC so the ideal backend is
@@ -660,6 +681,100 @@ mod tests {
         let expect = reference_mvm(&weight, &bias, &arch, &x, 2);
         for (g, e) in got.iter().zip(&expect) {
             assert!((g - e).abs() <= 3, "got {g} expected {e}");
+        }
+    }
+
+    /// The level panels one tile received, in call order.
+    type PanelLog = Arc<Mutex<Vec<Vec<f32>>>>;
+
+    /// Programs ideal tiles that log every level panel they receive,
+    /// in programming order.
+    #[derive(Default)]
+    struct SpyEngine {
+        logs: Mutex<Vec<PanelLog>>,
+    }
+
+    struct SpyTile {
+        inner: Box<dyn ProgrammedXbar>,
+        log: PanelLog,
+    }
+
+    impl ProgrammedXbar for SpyTile {
+        fn currents_batch(&self, v_levels: &[f32], n: usize) -> Result<Vec<f64>, FuncsimError> {
+            self.log.lock().unwrap().push(v_levels.to_vec());
+            self.inner.currents_batch(v_levels, n)
+        }
+    }
+
+    impl CrossbarEngine for SpyEngine {
+        fn name(&self) -> &'static str {
+            "spy"
+        }
+
+        fn program(
+            &self,
+            params: &CrossbarParams,
+            g_levels: &[f32],
+        ) -> Result<Box<dyn ProgrammedXbar>, FuncsimError> {
+            let log = Arc::default();
+            self.logs.lock().unwrap().push(Arc::clone(&log));
+            Ok(Box::new(SpyTile {
+                inner: IdealEngine.program(params, g_levels)?,
+                log,
+            }))
+        }
+    }
+
+    #[test]
+    fn every_tile_sees_its_row_steps_in_serial_order() {
+        // k=20, m=10 on 8x8 crossbars -> 3x2 tiles; signed inputs.
+        let arch = small_arch();
+        let (n, k, size) = (3, 20, 8);
+        let (weight, bias, x) = random_case(10, k, n, 23, true);
+        assert!(x.iter().any(|&c| c < 0) && x.iter().any(|&c| c > 0));
+        let spy = SpyEngine::default();
+        let pm = ProgrammedMatrix::program(&spy, &arch, &weight, &bias).unwrap();
+        let got = pm.mvm_codes(&x, n).unwrap();
+        let ideal = ProgrammedMatrix::program(&IdealEngine, &arch, &weight, &bias)
+            .unwrap()
+            .mvm_codes(&x, n)
+            .unwrap();
+        assert_eq!(got, ideal);
+
+        // The serial loop's steps for one tile row: positive then
+        // negative input parts, streams LSB first, all-zero panels
+        // skipped.
+        let streams = digit_count(arch.input_format.magnitude_bits(), arch.stream_width);
+        let mask = (1i64 << arch.stream_width) - 1;
+        let row_steps = |tr: usize| {
+            let mut panels = Vec::new();
+            for x_sign in [1i64, -1] {
+                for t in 0..streams {
+                    let panel: Vec<f32> = (0..n * size)
+                        .map(|p| {
+                            let row = tr * size + p % size;
+                            if row >= k {
+                                return 0.0;
+                            }
+                            let magnitude = (x_sign * x[(p / size) * k + row]).max(0);
+                            ((magnitude >> (t * arch.stream_width)) & mask) as f32 / mask as f32
+                        })
+                        .collect();
+                    if panel.iter().any(|&l| l != 0.0) {
+                        panels.push(panel);
+                    }
+                }
+            }
+            panels
+        };
+        let logs = spy.logs.lock().unwrap();
+        assert_eq!(logs.len(), pm.tile_count());
+        // Programming order is [tile row][tile col][slice][sign].
+        let per_row = logs.len() / 3;
+        for (idx, log) in logs.iter().enumerate() {
+            let expect = row_steps(idx / per_row);
+            assert!(!expect.is_empty());
+            assert_eq!(*log.lock().unwrap(), expect, "tile {idx}");
         }
     }
 

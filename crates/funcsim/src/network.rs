@@ -36,6 +36,22 @@ enum ExecOp {
     ResidualAdd,
 }
 
+impl ExecOp {
+    /// Short op name for trace attributes.
+    fn kind(&self) -> &'static str {
+        match self {
+            ExecOp::Conv(..) => "conv",
+            ExecOp::Linear(_) => "linear",
+            ExecOp::Relu => "relu",
+            ExecOp::MaxPool2 => "max_pool2",
+            ExecOp::GlobalAvgPool => "global_avg_pool",
+            ExecOp::Flatten => "flatten",
+            ExecOp::ResidualBegin => "residual_begin",
+            ExecOp::ResidualAdd => "residual_add",
+        }
+    }
+}
+
 /// A frozen network programmed onto crossbars, ready for inference.
 pub struct CrossbarNetwork {
     ops: Vec<ExecOp>,
@@ -154,7 +170,19 @@ impl CrossbarNetwork {
         let mut x = images.map(|v| fmt.round_trip(v));
         let mut residual_stack: Vec<Tensor> = Vec::new();
 
-        for op in &self.ops {
+        let tracing = telemetry::trace_active();
+        for (index, op) in self.ops.iter().enumerate() {
+            // One span per op, so each layer's `funcsim.mvm` and tile
+            // spans nest under it.
+            let _op_trace = tracing.then(|| {
+                telemetry::trace_scope(
+                    "funcsim.op",
+                    vec![
+                        ("index".to_string(), telemetry::Json::from(index)),
+                        ("kind".to_string(), telemetry::Json::from(op.kind())),
+                    ],
+                )
+            });
             x = match op {
                 ExecOp::Conv(pm, meta) => conv_mvm(pm, meta, &x, &self.arch)?,
                 ExecOp::Linear(pm) => linear_mvm(pm, &x, &self.arch)?,

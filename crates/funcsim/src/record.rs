@@ -7,9 +7,9 @@
 //! extreme sparsity), and a surrogate trained purely on random stimuli
 //! generalizes poorly to them.
 //!
-//! [`RecordingEngine`] wraps any [`CrossbarEngine`] and
-//! reservoir-samples the `(tile conductance, input levels)` pairs that
-//! flow through it; [`harvest_stimuli`] runs a frozen network over
+//! [`RecordingEngine`] wraps any [`CrossbarEngine`] and uniformly
+//! samples the `(tile conductance, input levels)` pairs that flow
+//! through it; [`harvest_stimuli`] runs a frozen network over
 //! sample images under the ideal backend and returns the collected
 //! pairs, ready to be labelled by the circuit simulator
 //! (`geniex::dataset::label_stimuli`).
@@ -19,10 +19,10 @@ use crate::engine::{CrossbarEngine, IdealEngine, ProgrammedXbar};
 use crate::network::CrossbarNetwork;
 use crate::FuncsimError;
 use nn::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use vision::NetworkSpec;
+use xbar::zoo::ModelRng;
 use xbar::CrossbarParams;
 
 /// One harvested crossbar stimulus: the programmed conductance levels
@@ -35,37 +35,40 @@ pub struct WorkloadStimulus {
     pub g_levels: Vec<f32>,
 }
 
-struct Reservoir {
-    capacity: usize,
-    seen: usize,
-    rng: StdRng,
-    samples: Vec<(usize, Vec<f32>)>,
-}
+/// A kept observation's sort key: `(priority, tile, observation)`.
+/// The tile and observation index make every key unique, so ties
+/// cannot depend on arrival order.
+type SampleKey = (u64, usize, u64);
 
 struct LogInner {
     tiles: Vec<Vec<f32>>,
-    reservoir: Reservoir,
+    seen: usize,
+    /// The `capacity` lowest-key observations, sorted by key.
+    kept: Vec<(SampleKey, Vec<f32>)>,
 }
 
 /// Shared log filled by a [`RecordingEngine`].
 #[derive(Clone)]
 pub struct StimulusLog {
+    capacity: usize,
+    seed: u64,
     inner: Arc<Mutex<LogInner>>,
 }
 
 impl StimulusLog {
-    /// Creates a log keeping at most `capacity` stimuli (uniform
-    /// reservoir sample over everything observed).
+    /// Creates a log keeping at most `capacity` stimuli: a bottom-k
+    /// sample, uniform over everything observed. Each observation's
+    /// priority is a hash of `(seed, tile, that tile's observation
+    /// index)`, so the sample depends only on what each tile saw, not
+    /// on how pool tasks interleaved the tiles.
     pub fn new(capacity: usize, seed: u64) -> Self {
         StimulusLog {
+            capacity,
+            seed,
             inner: Arc::new(Mutex::new(LogInner {
                 tiles: Vec::new(),
-                reservoir: Reservoir {
-                    capacity,
-                    seen: 0,
-                    rng: StdRng::seed_from_u64(seed),
-                    samples: Vec::new(),
-                },
+                seen: 0,
+                kept: Vec::new(),
             })),
         }
     }
@@ -76,46 +79,43 @@ impl StimulusLog {
         inner.tiles.len() - 1
     }
 
-    fn record(&self, tile: usize, v_levels: &[f32]) {
+    /// Records observation `index` of `tile` (indices count each
+    /// tile's input vectors from 0, in the order the tile saw them).
+    fn record(&self, tile: usize, index: u64, v_levels: &[f32]) {
+        let priority = ModelRng::for_model(self.seed ^ tile as u64, "stimulus", index).next_u64();
+        let key = (priority, tile, index);
         let mut inner = self.inner.lock().expect("stimulus log poisoned");
-        let r = &mut inner.reservoir;
-        r.seen += 1;
-        if r.samples.len() < r.capacity {
-            r.samples.push((tile, v_levels.to_vec()));
-        } else {
-            let j = r.rng.gen_range(0..r.seen);
-            if j < r.capacity {
-                r.samples[j] = (tile, v_levels.to_vec());
-            }
+        inner.seen += 1;
+        let kept = &mut inner.kept;
+        if kept.len() == self.capacity && kept.last().is_none_or(|(last, _)| key > *last) {
+            return;
         }
+        let at = kept.partition_point(|(k, _)| *k < key);
+        kept.insert(at, (key, v_levels.to_vec()));
+        kept.truncate(self.capacity);
     }
 
     /// Total MVM rows observed (before subsampling).
     pub fn observed(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("stimulus log poisoned")
-            .reservoir
-            .seen
+        self.inner.lock().expect("stimulus log poisoned").seen
     }
 
-    /// Extracts the sampled stimuli.
+    /// Extracts the sampled stimuli, in priority order.
     pub fn stimuli(&self) -> Vec<WorkloadStimulus> {
         let inner = self.inner.lock().expect("stimulus log poisoned");
         inner
-            .reservoir
-            .samples
+            .kept
             .iter()
-            .map(|(tile, v)| WorkloadStimulus {
+            .map(|&((_, tile, _), ref v)| WorkloadStimulus {
                 v_levels: v.clone(),
-                g_levels: inner.tiles[*tile].clone(),
+                g_levels: inner.tiles[tile].clone(),
             })
             .collect()
     }
 }
 
-/// An engine wrapper that records every programmed tile and
-/// reservoir-samples the input vectors applied to them.
+/// An engine wrapper that records every programmed tile and samples
+/// the input vectors applied to them.
 pub struct RecordingEngine<E> {
     inner: E,
     log: StimulusLog,
@@ -133,13 +133,16 @@ struct RecordingXbar {
     tile: usize,
     rows: usize,
     log: StimulusLog,
+    observations: AtomicU64,
 }
 
 impl ProgrammedXbar for RecordingXbar {
     fn currents_batch(&self, v_levels: &[f32], n: usize) -> Result<Vec<f64>, FuncsimError> {
-        for b in 0..n {
-            self.log
-                .record(self.tile, &v_levels[b * self.rows..(b + 1) * self.rows]);
+        // Reserve a contiguous block of observation indices, so a batch
+        // of n is numbered like n singles issued in the same order.
+        let base = self.observations.fetch_add(n as u64, Ordering::Relaxed);
+        for (b, v) in v_levels.chunks(self.rows).take(n).enumerate() {
+            self.log.record(self.tile, base + b as u64, v);
         }
         self.inner.currents_batch(v_levels, n)
     }
@@ -161,13 +164,14 @@ impl<E: CrossbarEngine> CrossbarEngine for RecordingEngine<E> {
             tile,
             rows: params.rows,
             log: self.log.clone(),
+            observations: AtomicU64::new(0),
         }))
     }
 }
 
 /// Runs `spec` over `images` on the ideal backend and harvests up to
 /// `max_samples` workload stimuli (uniformly sampled over all crossbar
-/// operations the run performs).
+/// operations the run performs; the same at any `GENIEX_THREADS`).
 ///
 /// # Errors
 ///
@@ -233,10 +237,35 @@ mod tests {
         let log = StimulusLog::new(4, 0);
         let tile = log.register_tile(vec![0.0; 4]);
         for k in 0..10 {
-            log.record(tile, &[k as f32 / 10.0, 0.0]);
+            log.record(tile, k, &[k as f32 / 10.0, 0.0]);
         }
         assert_eq!(log.observed(), 10);
         assert_eq!(log.stimuli().len(), 4);
+    }
+
+    #[test]
+    fn sample_ignores_tile_interleaving() {
+        // Pool tasks deliver each tile's observations in that tile's
+        // order but interleave tiles arbitrarily; the sample must not
+        // depend on the interleaving.
+        let observations =
+            |tile: usize| (0..12u64).map(move |k| (tile, k, [tile as f32, k as f32 / 12.0]));
+        let tiles_first = StimulusLog::new(5, 3);
+        let interleaved = StimulusLog::new(5, 3);
+        for log in [&tiles_first, &interleaved] {
+            log.register_tile(vec![0.0; 4]);
+            log.register_tile(vec![1.0; 4]);
+        }
+        for (tile, k, v) in observations(0).chain(observations(1)) {
+            tiles_first.record(tile, k, &v);
+        }
+        for ((t0, k0, v0), (t1, k1, v1)) in observations(0).zip(observations(1)) {
+            interleaved.record(t1, k1, &v1);
+            interleaved.record(t0, k0, &v0);
+        }
+        assert_eq!(tiles_first.observed(), 24);
+        assert_eq!(tiles_first.stimuli().len(), 5);
+        assert_eq!(tiles_first.stimuli(), interleaved.stimuli());
     }
 
     #[test]

@@ -40,6 +40,13 @@
 //! scopes/`par_map`-inside-`par_map` deadlock-free: the bottom of any
 //! nesting chain is a plain task that runs to completion.
 //!
+//! Because the waiting caller runs tasks too, a pool of width `n`
+//! spawns `n − 1` workers, so a fan-out from one caller runs on
+//! exactly `n` threads. (`n` workers plus the helping caller would keep
+//! `n + 1` threads runnable on `n` CPUs; on a two-vCPU host that
+//! oversubscription slowed single-image inference for seconds at a
+//! time, at about 1.5× the per-image CPU time.)
+//!
 //! A task panic is caught on the worker, carried to the owning scope,
 //! and resumed on the caller once all of the scope's tasks finished —
 //! the same contract as `std::thread::scope`.
@@ -344,9 +351,10 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Creates a pool with `threads` workers (0 is treated as 1). A
-    /// one-thread pool spawns no workers at all: every combinator runs
-    /// inline on the caller.
+    /// Creates a pool of width `threads` (0 is treated as 1): `threads
+    /// − 1` workers plus the caller, which runs queued tasks while it
+    /// waits in [`ThreadPool::scope`]. A one-thread pool spawns no
+    /// workers at all: every combinator runs inline on the caller.
     pub fn new(threads: usize) -> Self {
         Self::with_name(threads, "pool")
     }
@@ -359,7 +367,7 @@ impl ThreadPool {
     /// `active_workers` counter track.
     pub fn with_name(threads: usize, name: &str) -> Self {
         let threads = threads.max(1);
-        let worker_count = if threads == 1 { 0 } else { threads };
+        let worker_count = threads - 1;
         let shared = Arc::new(Shared {
             queues: (0..worker_count.max(1))
                 .map(|_| Mutex::new(VecDeque::new()))
@@ -595,8 +603,8 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
-/// The process-wide pool, created on first use with
-/// [`default_threads`] workers (i.e. `GENIEX_THREADS` or the machine's
+/// The process-wide pool, created on first use with width
+/// [`default_threads`] (i.e. `GENIEX_THREADS` or the machine's
 /// available parallelism).
 pub fn global() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
@@ -858,6 +866,23 @@ mod tests {
             .map(|i| (0..8).map(|j| (i * 8 + j) * 2).sum())
             .collect();
         assert_eq!(result, expect);
+    }
+
+    #[test]
+    fn fan_out_runs_on_at_most_width_threads() {
+        // The caller helps, so a width-3 pool fans out over itself and
+        // two workers, never more.
+        let pool = ThreadPool::new(3);
+        let items: Vec<u64> = (0..24).collect();
+        let runners = Mutex::new(std::collections::HashSet::new());
+        let _ = pool.par_map_grained(&items, 1, |&x| {
+            runners.lock().unwrap().insert(std::thread::current().id());
+            std::thread::sleep(Duration::from_micros(500));
+            x
+        });
+        let runners = runners.into_inner().unwrap();
+        assert!(runners.len() <= 3, "{} threads ran tasks", runners.len());
+        assert!(runners.contains(&std::thread::current().id()));
     }
 
     #[test]
