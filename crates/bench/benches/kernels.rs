@@ -101,50 +101,9 @@ fn bench_gemv_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pentadiagonal CSR in the sparsity ballpark of crossbar circuit
-/// Jacobians (~5 entries per row).
-fn pentadiagonal(n: usize) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-    let mut row_ptr = vec![0usize];
-    let mut col_idx = Vec::new();
-    let mut values = Vec::new();
-    for r in 0..n {
-        for d in [-2isize, -1, 0, 1, 2] {
-            let c = r as isize + d;
-            if (0..n as isize).contains(&c) {
-                col_idx.push(c as usize);
-                values.push(if d == 0 { 4.2 } else { -1.0 });
-            }
-        }
-        row_ptr.push(col_idx.len());
-    }
-    (row_ptr, col_idx, values)
-}
-
-fn bench_spmv(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/spmv");
-    for n in [128usize, 1024, 8192] {
-        let (row_ptr, col_idx, values) = pentadiagonal(n);
-        let x = random_f64(n, 9);
-        let mut y = vec![0.0f64; n];
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |bench, _| {
-            bench.iter(|| {
-                kernels::naive::spmv_csr(&row_ptr, &col_idx, &values, black_box(&x), &mut y)
-            });
-        });
-        // The blocked variant is the prepared plan with the build
-        // outside the timing loop: that is how the solvers use it (one
-        // plan per sparsity pattern, many products per plan).
-        let plan = kernels::SpmvPlan::new(&row_ptr, &col_idx, &values, n);
-        group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
-            bench.iter(|| plan.apply(black_box(&x), &mut y));
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_dot, bench_matmul, bench_matmul_transpose, bench_gemv_batch, bench_spmv
+    targets = bench_dot, bench_matmul, bench_matmul_transpose, bench_gemv_batch
 }
 criterion_main!(benches);

@@ -16,8 +16,6 @@ pub(crate) fn laws() -> Vec<Box<dyn Law>> {
         Box::new(DotVsNaive),
         Box::new(GemmVsNaive),
         Box::new(GemvVsNaive),
-        Box::new(SpmvVsNaive),
-        Box::new(SpmvPlanVsNaive),
         Box::new(ParallelVsSerial),
         Box::new(StoreWarmVsCold),
         Box::new(SolverBgsVsCg),
@@ -159,144 +157,6 @@ impl Law for GemvVsNaive {
                     "gemv_levels_scaled {m}x{k} row {i}: {} vs {} (bound {bound})",
                     blocked[i], reference[i]
                 ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// CSR sparse MVM (the CG solver's Jacobian product) vs naive. Rows
-/// with at most [`kernels::LANES`] entries keep the sequential order
-/// and must match bit-for-bit.
-struct SpmvVsNaive;
-
-impl Law for SpmvVsNaive {
-    fn name(&self) -> &'static str {
-        "oracle/spmv_vs_naive"
-    }
-    fn category(&self) -> Category {
-        Category::Oracle
-    }
-    fn tolerance(&self) -> &'static str {
-        "rows with <= 8 entries bit-identical; longer rows within eps * nnz * sum|v x| (floor 1e-15)"
-    }
-    fn check(&self, rng: &mut TestRng) -> Result<(), String> {
-        let rows = gen::usize_in(rng, 0, 12);
-        let cols = gen::usize_in(rng, 1, 24);
-        // Random CSR: each row draws an entry count then distinct
-        // ascending column indices.
-        let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for i in 0..rows {
-            let nnz = gen::usize_in(rng, 0, cols.min(12));
-            let mut picked = gen::permutation(rng, cols);
-            picked.truncate(nnz);
-            picked.sort_unstable();
-            for c in picked {
-                col_idx.push(c);
-                values.push(gen::f64_in(rng, -1.0, 1.0));
-            }
-            row_ptr[i + 1] = col_idx.len();
-        }
-        let x = gen::vec_f64(rng, cols, -1.0, 1.0);
-        let mut blocked = vec![0.0f64; rows];
-        let mut reference = vec![0.0f64; rows];
-        kernels::spmv_csr(&row_ptr, &col_idx, &values, &x, &mut blocked);
-        naive::spmv_csr(&row_ptr, &col_idx, &values, &x, &mut reference);
-        for i in 0..rows {
-            let nnz = row_ptr[i + 1] - row_ptr[i];
-            if nnz <= kernels::LANES {
-                if blocked[i].to_bits() != reference[i].to_bits() {
-                    return Err(format!(
-                        "spmv row {i} ({nnz} entries): {} vs {} (must be bit-identical)",
-                        blocked[i], reference[i]
-                    ));
-                }
-            } else {
-                let magnitude: f64 = (row_ptr[i]..row_ptr[i + 1])
-                    .map(|p| (values[p] * x[col_idx[p]]).abs())
-                    .sum();
-                let bound = (f64::EPSILON * magnitude * nnz as f64).max(1e-15);
-                if (blocked[i] - reference[i]).abs() > bound {
-                    return Err(format!(
-                        "spmv row {i} ({nnz} entries): {} vs {} (bound {bound})",
-                        blocked[i], reference[i]
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The strategy-dispatching [`kernels::SpmvPlan`] (naive / SELL-8 /
-/// lane-CSR hybrid, chosen from the sparsity pattern) vs the plain
-/// naive CSR loop. Sized so the draw actually crosses the dispatch
-/// thresholds: small patterns plan as `Naive`, denser ones as `Sell`
-/// or `LaneCsr`.
-struct SpmvPlanVsNaive;
-
-impl Law for SpmvPlanVsNaive {
-    fn name(&self) -> &'static str {
-        "oracle/spmv_plan_vs_naive"
-    }
-    fn category(&self) -> Category {
-        Category::Oracle
-    }
-    fn tolerance(&self) -> &'static str {
-        "rows with <= 8 entries bit-identical; longer rows within eps * nnz * sum|v x| (floor 1e-15)"
-    }
-    fn cases(&self) -> u64 {
-        8
-    }
-    fn check(&self, rng: &mut TestRng) -> Result<(), String> {
-        let rows = gen::usize_in(rng, 0, 64);
-        let cols = gen::usize_in(rng, 1, 32);
-        let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for i in 0..rows {
-            let nnz = gen::usize_in(rng, 0, cols.min(16));
-            let mut picked = gen::permutation(rng, cols);
-            picked.truncate(nnz);
-            picked.sort_unstable();
-            for c in picked {
-                col_idx.push(c);
-                values.push(gen::f64_in(rng, -1.0, 1.0));
-            }
-            row_ptr[i + 1] = col_idx.len();
-        }
-        let x = gen::vec_f64(rng, cols, -1.0, 1.0);
-        let plan = kernels::SpmvPlan::new(&row_ptr, &col_idx, &values, cols);
-        let mut planned = vec![0.0f64; rows];
-        let mut reference = vec![0.0f64; rows];
-        plan.apply(&x, &mut planned);
-        naive::spmv_csr(&row_ptr, &col_idx, &values, &x, &mut reference);
-        for i in 0..rows {
-            let nnz = row_ptr[i + 1] - row_ptr[i];
-            if nnz <= kernels::LANES {
-                if planned[i].to_bits() != reference[i].to_bits() {
-                    return Err(format!(
-                        "spmv plan ({:?}) row {i} ({nnz} entries): {} vs {} (must be bit-identical)",
-                        plan.strategy(),
-                        planned[i],
-                        reference[i]
-                    ));
-                }
-            } else {
-                let magnitude: f64 = (row_ptr[i]..row_ptr[i + 1])
-                    .map(|p| (values[p] * x[col_idx[p]]).abs())
-                    .sum();
-                let bound = (f64::EPSILON * magnitude * nnz as f64).max(1e-15);
-                if (planned[i] - reference[i]).abs() > bound {
-                    return Err(format!(
-                        "spmv plan ({:?}) row {i} ({nnz} entries): {} vs {} (bound {bound})",
-                        plan.strategy(),
-                        planned[i],
-                        reference[i]
-                    ));
-                }
             }
         }
         Ok(())

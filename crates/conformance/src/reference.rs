@@ -1,14 +1,15 @@
 //! An independent reference solver for the crossbar operating point:
-//! damped Newton whose corrections solve the assembled sparse Jacobian
-//! by Jacobi-preconditioned conjugate gradient.
+//! damped Newton whose corrections solve the assembled Jacobian by
+//! Jacobi-preconditioned conjugate gradient.
 //!
 //! It is built only from the public `xbar::device` models and
 //! [`CrossbarParams`], and shares no code with the production solver —
 //! not its Newton driver, its residual, its block Gauss–Seidel sweep or
 //! its warm state — so `oracle/solver_bgs_vs_cg` compares two
 //! implementations of the same circuit rather than one with itself.
+//! That law draws crossbars of at most 6×6 (72 nodes), so the Jacobian
+//! is assembled dense.
 
-use linalg::{conjugate_gradient, CgOptions, CsrMatrix, TripletMatrix};
 use xbar::device::{AccessDevice, DeviceModel, FilamentaryRram, LinearMemristor, SeriesPair};
 use xbar::{ConductanceMatrix, CrossbarParams};
 
@@ -114,20 +115,21 @@ impl ReferenceCircuit {
         out
     }
 
-    /// The Jacobian of [`Self::residual`] at `x`, assembled as CSR.
-    pub(crate) fn jacobian(&self, x: &[f64]) -> Result<CsrMatrix, String> {
+    /// The Jacobian of [`Self::residual`] at `x`, dense and row-major
+    /// (`n × n` for `n` nodes).
+    pub(crate) fn jacobian(&self, x: &[f64]) -> Vec<f64> {
         let n = x.len();
-        let mut t = TripletMatrix::with_capacity(n, n, 4 * n);
+        let mut jac = vec![0.0; n * n];
         let mut stamp = |a: Option<usize>, b: Option<usize>, g: f64| {
             if let Some(a) = a {
-                t.add(a, a, g);
+                jac[a * n + a] += g;
             }
             if let Some(b) = b {
-                t.add(b, b, g);
+                jac[b * n + b] += g;
             }
             if let (Some(a), Some(b)) = (a, b) {
-                t.add(a, b, -g);
-                t.add(b, a, -g);
+                jac[a * n + b] -= g;
+                jac[b * n + a] -= g;
             }
         };
         self.linear_branches(&mut stamp);
@@ -138,7 +140,7 @@ impl ReferenceCircuit {
                 stamp(Some(wn), Some(bn), g);
             }
         }
-        CsrMatrix::from_triplets(&t).map_err(|e| e.to_string())
+        jac
     }
 
     /// Damped Newton from the cold guess (word lines at their driven
@@ -152,24 +154,19 @@ impl ReferenceCircuit {
                 x[self.w(i, j)] = v[i];
             }
         }
-        let norm = |r: &[f64]| r.iter().fold(0.0f64, |m, e| m.max(e.abs()));
+        // A NaN entry counts as an infinite residual, not a zero one.
+        let norm = |r: &[f64]| {
+            r.iter()
+                .map(|e| if e.is_nan() { f64::INFINITY } else { e.abs() })
+                .fold(0.0, f64::max)
+        };
         let mut f = self.residual(v, &x);
         let mut res_norm = norm(&f);
         for _ in 0..60 {
             if res_norm <= tolerance {
                 break;
             }
-            let dx = conjugate_gradient(
-                &self.jacobian(&x)?,
-                &f,
-                &CgOptions {
-                    tolerance: 1e-12,
-                    max_iterations: Some(20_000),
-                    initial_guess: None,
-                },
-            )
-            .map_err(|e| e.to_string())?
-            .x;
+            let dx = conjugate_gradient(&self.jacobian(&x), &f, 1e-12, 20_000)?;
             // Halve the step until the residual shrinks.
             let mut scale = 1.0;
             let mut accepted = false;
@@ -196,6 +193,57 @@ impl ReferenceCircuit {
     }
 }
 
+/// Solves `a · x = b` for a symmetric positive-definite row-major `a`
+/// by Jacobi-preconditioned conjugate gradient from `x = 0`, until the
+/// recurrence residual satisfies `‖r‖₂ ≤ tolerance · ‖b‖₂`. The Jacobi
+/// preconditioner matters here: wire and device conductances differ by
+/// about five orders of magnitude.
+fn conjugate_gradient(
+    a: &[f64],
+    b: &[f64],
+    tolerance: f64,
+    max_iterations: usize,
+) -> Result<Vec<f64>, String> {
+    let n = b.len();
+    let dot = kernels::dot_f64;
+    let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / a[i * n + i]).collect();
+    let threshold = tolerance * dot(b, b).sqrt();
+    let mut x = vec![0.0; n];
+    let mut r = b.to_vec();
+    let mut z: Vec<f64> = r.iter().zip(&inv_diag).map(|(r, d)| r * d).collect();
+    let mut p = z.clone();
+    let mut rz = dot(&r, &z);
+    let mut ap = vec![0.0; n];
+    for _ in 0..max_iterations {
+        if dot(&r, &r).sqrt() <= threshold {
+            return Ok(x);
+        }
+        for (api, row) in ap.iter_mut().zip(a.chunks_exact(n)) {
+            *api = dot(row, &p);
+        }
+        let pap = dot(&p, &ap);
+        // Not positive definite, or a non-finite system.
+        if !pap.is_finite() || pap <= 0.0 {
+            return Err(format!("reference CG broke down (p·Ap = {pap:e})"));
+        }
+        let alpha = rz / pap;
+        for i in 0..n {
+            x[i] += alpha * p[i];
+            r[i] -= alpha * ap[i];
+            z[i] = r[i] * inv_diag[i];
+        }
+        let rz_next = dot(&r, &z);
+        let beta = rz_next / rz;
+        rz = rz_next;
+        for (pi, zi) in p.iter_mut().zip(&z) {
+            *pi = zi + beta * *pi;
+        }
+    }
+    Err(format!(
+        "reference CG did not reach {threshold:e} in {max_iterations} iterations"
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,12 +256,37 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = ConductanceMatrix::random_sparse(&p, 0.2, &mut rng);
         let circuit = ReferenceCircuit::new(&p, &g).unwrap();
-        let jac = circuit.jacobian(&vec![0.1; p.node_count()]).unwrap();
-        assert!(jac.is_symmetric(1e-15));
-        // Diagonal dominance implies PSD here.
-        for r in 0..jac.rows() {
-            assert!(jac.get(r, r) > 0.0);
+        let n = p.node_count();
+        let jac = circuit.jacobian(&vec![0.1; n]);
+        for r in 0..n {
+            // Diagonal dominance implies PSD here.
+            assert!(jac[r * n + r] > 0.0);
+            for c in 0..r {
+                assert_eq!(jac[r * n + c], jac[c * n + r], "({r}, {c})");
+            }
         }
+    }
+
+    #[test]
+    fn conjugate_gradient_solves_a_badly_scaled_spd_system() {
+        // Diagonal spread over six decades, as in a circuit Jacobian.
+        let n = 6;
+        let mut a = vec![0.0; n * n];
+        for i in 0..n {
+            a[i * n + i] = 10f64.powi(i as i32) + 2.0;
+            if i + 1 < n {
+                a[i * n + i + 1] = -1.0;
+                a[(i + 1) * n + i] = -1.0;
+            }
+        }
+        let b: Vec<f64> = (0..n).map(|i| i as f64 - 2.5).collect();
+        let x = conjugate_gradient(&a, &b, 1e-12, 100).unwrap();
+        for (row, bi) in a.chunks_exact(n).zip(&b) {
+            let ax: f64 = row.iter().zip(&x).map(|(a, x)| a * x).sum();
+            assert!((ax - bi).abs() < 1e-9, "{ax} vs {bi}");
+        }
+        let negated: Vec<f64> = a.iter().map(|v| -v).collect();
+        assert!(conjugate_gradient(&negated, &b, 1e-12, 100).is_err());
     }
 
     #[test]

@@ -179,18 +179,10 @@ impl CrossbarEngine for AnalyticalEngine {
     ) -> Result<Box<dyn ProgrammedXbar>, FuncsimError> {
         let g = check_levels(params, g_levels)?;
         let model = AnalyticalModel::new(params, &g)?;
-        let eff = model.effective_matrix();
-        let (rows, cols) = (params.rows, params.cols);
-        let mut m = vec![0.0f64; rows * cols];
-        for j in 0..cols {
-            for i in 0..rows {
-                m[j * rows + i] = eff[(j, i)];
-            }
-        }
         Ok(Box::new(AnalyticalTile {
-            m,
-            rows,
-            cols,
+            m: model.effective_matrix().to_vec(),
+            rows: params.rows,
+            cols: params.cols,
             v_supply: params.v_supply,
         }))
     }

@@ -1,4 +1,4 @@
-//! Lane-blocked reductions and element-wise vector kernels.
+//! Lane-blocked dot products.
 
 use crate::{reduce_lanes_f32, reduce_lanes_f64, LANES};
 
@@ -53,62 +53,6 @@ pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
     reduce_lanes_f64(&acc)
 }
 
-/// Deterministic 8-lane mixed dot product: `Σ a[i] * (b[i] as f64)`.
-///
-/// The functional simulator keeps conductance matrices in `f64` and
-/// input levels in `f32`; each product widens the level before the
-/// multiply, exactly as the pre-kernel scalar loop did.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn dot_f64_f32(a: &[f64], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot_f64_f32: length mismatch");
-    let mut acc = [0.0f64; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        for l in 0..LANES {
-            acc[l] += xa[l] * f64::from(xb[l]);
-        }
-    }
-    for (l, (x, y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        acc[l] += x * f64::from(*y);
-    }
-    reduce_lanes_f64(&acc)
-}
-
-/// `y += alpha * x`, element-wise.
-///
-/// No reduction, so no ordering freedom: bit-identical to the naive
-/// loop (the compiler vectorizes it freely because the elements are
-/// independent).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy_f64: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `y = x + beta * y`, element-wise (the CG direction update).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn xpby_f64(x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "xpby_f64: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = xi + beta * *yi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,30 +96,12 @@ mod tests {
         let a64: Vec<f64> = a.iter().map(|&x| f64::from(x)).collect();
         let b64 = vec![2.0f64; 19];
         assert_eq!(dot_f64(&a64, &b64), 342.0);
-        assert_eq!(dot_f64_f32(&a64, &b), 342.0);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn dot_length_checked() {
         dot_f32(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn axpy_and_xpby_match_naive() {
-        let x: Vec<f64> = (0..37).map(|i| 0.1 * i as f64).collect();
-        let mut y: Vec<f64> = (0..37).map(|i| -0.2 * i as f64).collect();
-        let mut y2 = y.clone();
-        axpy_f64(1.7, &x, &mut y);
-        for (yi, xi) in y2.iter_mut().zip(&x) {
-            *yi += 1.7 * xi;
-        }
-        assert_eq!(y, y2);
-        xpby_f64(&x, -0.3, &mut y);
-        for (yi, xi) in y2.iter_mut().zip(&x) {
-            *yi = xi + -0.3 * *yi;
-        }
-        assert_eq!(y, y2);
     }
 
     proptest! {
@@ -197,12 +123,6 @@ mod tests {
             let a: Vec<f64> = data.iter().map(|p| p.0).collect();
             let b: Vec<f64> = data.iter().map(|p| p.1).collect();
             prop_assert_eq!(dot_f64(&a, &b).to_bits(), spec_dot_f64(&a, &b).to_bits());
-            let bf: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-            let b_widened: Vec<f64> = bf.iter().map(|&x| f64::from(x)).collect();
-            prop_assert_eq!(
-                dot_f64_f32(&a, &bf).to_bits(),
-                spec_dot_f64(&a, &b_widened).to_bits()
-            );
         }
 
         /// The lane-blocked result stays within a tight relative bound

@@ -61,11 +61,11 @@ pub fn gemv_bias_relu_f32(w: &[f32], x: &[f32], init: &[f32], out: &mut [f32]) {
 /// row-major `out.len() × x.len()` — the level-to-current GEMV shared
 /// by the functional simulator's linear tile backends.
 ///
-/// Uses the [`dot_f64_f32`](crate::dot_f64_f32) lane spec; the scale (supply voltage)
-/// multiplies the finished sum, as the pre-kernel loop did. The level
-/// vector is widened to `f64` once up front (widening is exact, so
-/// this is bit-identical to converting inside the inner loop) and the
-/// rows then run through the pure-f64 dot kernel.
+/// The level vector is widened to `f64` once up front (widening is
+/// exact, so this is bit-identical to converting inside the inner loop)
+/// and each row then runs through the [`dot_f64`](crate::dot_f64) lane
+/// spec; the scale (supply voltage) multiplies the finished sum, as the
+/// pre-kernel loop did.
 ///
 /// # Panics
 ///

@@ -2,8 +2,7 @@
 //!
 //! Every inner loop in this workspace that matters for throughput — the
 //! surrogate's two GEMVs per MVM, the functional simulator's batched
-//! level-to-current GEMVs, the training GEMMs behind `nn::Tensor`, and
-//! the CSR spmv + dot products inside the conjugate-gradient solver —
+//! level-to-current GEMVs, and the training GEMMs behind `nn::Tensor` —
 //! funnels through this crate. The kernels are built around one idea:
 //!
 //! **Fix the floating-point accumulation order in the kernel spec, and
@@ -35,20 +34,9 @@
 //!   `ikj` triple loop, so `gemm_nn` is bit-identical to it.
 //! * [`gemm_nt`] (`C = A·Bᵀ`) is a dot-product kernel; it evaluates 4
 //!   output columns per pass with the 8-lane split above.
-//! * [`spmv_csr`] picks the order per CSR row from the row's length:
-//!   sequential for rows with ≤ 8 entries (the crossbar-Jacobian norm,
-//!   where lane padding would only add flops), the lane split by
-//!   position within the row beyond that.
-//! * [`SpmvPlan`] moves that decision to build time: it inspects the
-//!   sparsity structure once and re-packs short-row matrices into
-//!   SELL-8 slices (8 independent accumulator chains, no per-row
-//!   branching), keeping the naive order for tiny matrices and the
-//!   per-row dispatch for ragged ones. Iterative solvers build the
-//!   plan once per pattern and amortize it across every product.
-//!
-//! Element-wise kernels ([`axpy_f64`], [`xpby_f64`]) have no reduction
-//! and therefore no ordering freedom; they are provided so solvers have
-//! a single home for their vector ops.
+//! * The GEMVs ([`gemv_into_f32`], [`gemv_bias_relu_f32`],
+//!   [`gemv_levels_scaled`] and its batched form) give each output row
+//!   the bits of one [`dot_f32`] or [`dot_f64`].
 //!
 //! The [`naive`] module keeps straight-line reference implementations
 //! of the *old* sequential order for ulp-bounded regression tests and
@@ -70,12 +58,10 @@ mod gemm;
 mod gemv;
 pub mod naive;
 pub mod scratch;
-mod spmv;
 
-pub use dot::{axpy_f64, dot_f32, dot_f64, dot_f64_f32, xpby_f64};
+pub use dot::{dot_f32, dot_f64};
 pub use gemm::{gemm_nn, gemm_nt, transpose_f32};
 pub use gemv::{gemv_bias_relu_f32, gemv_into_f32, gemv_levels_scaled, gemv_levels_scaled_batch};
-pub use spmv::{spmv_csr, SpmvPlan, SpmvStrategy};
 
 /// Number of independent accumulator lanes in every reduction kernel.
 ///

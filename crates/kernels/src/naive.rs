@@ -117,23 +117,6 @@ pub fn gemv_levels_scaled(mat: &[f64], x: &[f32], scale: f64, out: &mut [f64]) {
     }
 }
 
-/// Sequential CSR matvec (the old `CsrMatrix::matvec_into` loop).
-///
-/// # Panics
-///
-/// Panics if the CSR structure is inconsistent with `y`.
-pub fn spmv_csr(row_ptr: &[usize], col_idx: &[usize], values: &[f64], x: &[f64], y: &mut [f64]) {
-    assert_eq!(col_idx.len(), values.len(), "naive::spmv_csr: structure");
-    assert_eq!(row_ptr.len(), y.len() + 1, "naive::spmv_csr: row pointers");
-    for (r, out) in y.iter_mut().enumerate() {
-        let mut acc = 0.0f64;
-        for idx in row_ptr[r]..row_ptr[r + 1] {
-            acc += values[idx] * x[col_idx[idx]];
-        }
-        *out = acc;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -2,11 +2,11 @@
 //! matrices, and lane-tail lengths straddling the 8-lane block size.
 //!
 //! Where a kernel documents bit-identity with its `naive` ordering
-//! (`gemm_nn` everywhere, `spmv_csr` on rows of at most `LANES`
-//! entries, `gemm_nt` against `dot_f32`), these tests assert exact bit
-//! patterns; elsewhere they pin the documented ulp-style bound.
+//! (`gemm_nn` everywhere, `gemm_nt` against `dot_f32`), these tests
+//! assert exact bit patterns; elsewhere they pin the documented
+//! ulp-style bound.
 
-use kernels::{naive, LANES};
+use kernels::naive;
 
 /// Lengths that straddle the lane width: tails of 7, exact blocks,
 /// and one-past-a-block.
@@ -171,57 +171,6 @@ fn gemv_empty_and_tails() {
                 "gemv_levels_scaled k {k} row {j}: {} vs {}",
                 out[j],
                 reference[j]
-            );
-        }
-    }
-}
-
-#[test]
-fn spmv_empty_and_short_rows_bit_identical() {
-    // Zero rows.
-    kernels::spmv_csr(&[0], &[], &[], &[], &mut []);
-    // Empty rows mixed with short rows: all sequential, so exact.
-    let row_ptr = [0usize, 0, 2, 2, 5];
-    let col_idx = [1usize, 3, 0, 2, 3];
-    let values = series_f64(5, 0.8);
-    let x = series_f64(4, 1.1);
-    let mut blocked = [0.0f64; 4];
-    let mut reference = [0.0f64; 4];
-    kernels::spmv_csr(&row_ptr, &col_idx, &values, &x, &mut blocked);
-    naive::spmv_csr(&row_ptr, &col_idx, &values, &x, &mut reference);
-    for (i, (a, b)) in blocked.iter().zip(&reference).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "spmv row {i}");
-    }
-    assert_eq!(blocked[0], 0.0);
-    assert_eq!(blocked[2], 0.0);
-}
-
-#[test]
-fn spmv_lane_tail_rows() {
-    // One dense row per tail length; rows of nnz <= LANES must be
-    // bit-identical, longer rows ulp-bounded against the naive loop.
-    for nnz in TAILS {
-        let cols: Vec<usize> = (0..nnz).collect();
-        let row_ptr = [0usize, nnz];
-        let values = series_f64(nnz, -0.4);
-        let x = series_f64(nnz, 0.9);
-        let mut blocked = [0.0f64];
-        let mut reference = [0.0f64];
-        kernels::spmv_csr(&row_ptr, &cols, &values, &x, &mut blocked);
-        naive::spmv_csr(&row_ptr, &cols, &values, &x, &mut reference);
-        if nnz <= LANES {
-            assert_eq!(
-                blocked[0].to_bits(),
-                reference[0].to_bits(),
-                "spmv nnz {nnz} must be exact"
-            );
-        } else {
-            let magnitude: f64 = values.iter().zip(&x).map(|(v, xv)| (v * xv).abs()).sum();
-            assert!(
-                (blocked[0] - reference[0]).abs() <= f64::EPSILON * magnitude * nnz as f64,
-                "spmv nnz {nnz}: {} vs {}",
-                blocked[0],
-                reference[0]
             );
         }
     }

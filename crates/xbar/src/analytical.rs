@@ -18,14 +18,13 @@ use crate::circuit::{CrossbarCircuit, NewtonOptions};
 use crate::conductance::ConductanceMatrix;
 use crate::params::{CrossbarParams, NonIdealityConfig};
 use crate::XbarError;
-use linalg::Mat;
 
 /// The linear analytical model of a programmed crossbar.
 ///
 /// Construction extracts the effective matrix `M(G)` column-by-column
 /// by solving the linear parasitic circuit against unit input vectors;
 /// afterwards every [`mvm`](AnalyticalModel::mvm) is a dense
-/// matrix-vector product.
+/// matrix-vector product, one [`kernels::dot_f64`] per bit line.
 ///
 /// # Example
 ///
@@ -46,8 +45,8 @@ use linalg::Mat;
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnalyticalModel {
-    /// Effective transfer matrix: `cols x rows`, `I = M · V`.
-    effective: Mat,
+    /// Effective transfer matrix, row-major `cols x rows`: `I = M · V`.
+    effective: Vec<f64>,
     rows: usize,
     cols: usize,
 }
@@ -79,13 +78,13 @@ impl AnalyticalModel {
         // amplitude v_supply keeps the solves well-scaled; linearity
         // lets us divide it back out.
         let amplitude = params.v_supply;
-        let mut effective = Mat::zeros(cols, rows);
+        let mut effective = vec![0.0; cols * rows];
         let mut v = vec![0.0; rows];
         for k in 0..rows {
             v[k] = amplitude;
             let report = circuit.solve(&v)?;
             for j in 0..cols {
-                effective[(j, k)] = report.currents[j] / amplitude;
+                effective[j * rows + k] = report.currents[j] / amplitude;
             }
             v[k] = 0.0;
         }
@@ -110,11 +109,16 @@ impl AnalyticalModel {
                 self.rows
             )));
         }
-        Ok(self.effective.matvec(v)?)
+        Ok(self
+            .effective
+            .chunks_exact(self.rows)
+            .map(|row| kernels::dot_f64(row, v))
+            .collect())
     }
 
-    /// The effective transfer matrix `M(G)` (`cols x rows`).
-    pub fn effective_matrix(&self) -> &Mat {
+    /// The effective transfer matrix `M(G)`, row-major `cols x rows`:
+    /// bit line `j`'s row is `[j * rows, (j + 1) * rows)`.
+    pub fn effective_matrix(&self) -> &[f64] {
         &self.effective
     }
 
@@ -142,23 +146,28 @@ mod tests {
 
     #[test]
     fn matches_linear_circuit_exactly() {
-        let p = params(6);
-        let mut rng = StdRng::seed_from_u64(21);
-        let g = ConductanceMatrix::random_sparse(&p, 0.4, &mut rng);
-        let model = AnalyticalModel::new(&p, &g).unwrap();
+        let v = [0.25, 0.0, 0.125, 0.1875, 0.0625, 0.25];
+        // The non-square shapes catch a transposed index into the flat
+        // `cols x rows` effective matrix, which a square one hides.
+        for (rows, cols) in [(6, 6), (5, 3), (3, 5)] {
+            let p = CrossbarParams::builder(rows, cols).build().unwrap();
+            let mut rng = StdRng::seed_from_u64(21);
+            let g = ConductanceMatrix::random_sparse(&p, 0.4, &mut rng);
+            let model = AnalyticalModel::new(&p, &g).unwrap();
 
-        let mut linear_params = p.clone();
-        linear_params.nonideality = NonIdealityConfig::linear_only();
-        let circuit = CrossbarCircuit::new(&linear_params, &g).unwrap();
+            let mut linear_params = p.clone();
+            linear_params.nonideality = NonIdealityConfig::linear_only();
+            let circuit = CrossbarCircuit::new(&linear_params, &g).unwrap();
 
-        let v = vec![0.25, 0.0, 0.125, 0.1875, 0.0625, 0.25];
-        let from_model = model.mvm(&v).unwrap();
-        let from_circuit = circuit.solve(&v).unwrap().currents;
-        for (a, b) in from_model.iter().zip(&from_circuit) {
-            assert!(
-                (a - b).abs() < 1e-10 * b.abs().max(1e-12),
-                "model {a} vs circuit {b}"
-            );
+            let from_model = model.mvm(&v[..rows]).unwrap();
+            let from_circuit = circuit.solve(&v[..rows]).unwrap().currents;
+            assert_eq!(from_model.len(), cols);
+            for (a, b) in from_model.iter().zip(&from_circuit) {
+                assert!(
+                    (a - b).abs() < 1e-10 * b.abs().max(1e-12),
+                    "{rows}x{cols}: model {a} vs circuit {b}"
+                );
+            }
         }
     }
 
@@ -201,7 +210,7 @@ mod tests {
         assert!(model.mvm(&[0.1; 3]).is_err());
         assert_eq!(model.rows(), 4);
         assert_eq!(model.cols(), 4);
-        assert_eq!(model.effective_matrix().rows(), 4);
+        assert_eq!(model.effective_matrix().len(), 16);
     }
 
     #[test]

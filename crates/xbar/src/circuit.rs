@@ -393,11 +393,11 @@ impl CrossbarCircuit {
             .max(64.0 * f64::EPSILON * g_max * v_max)
     }
 
-    /// Recomputes the infinity-norm KCL residual of candidate node
-    /// voltages `x` (layout as in [`SolveReport::node_voltages`]) under
-    /// inputs `v`, independently of any solver bookkeeping: every
-    /// series cell's internal node is solved afresh, never from a
-    /// cache's carried guess.
+    /// Recomputes the infinity-norm KCL residual (infinite if any node's
+    /// residual is NaN) of candidate node voltages `x` (layout as in
+    /// [`SolveReport::node_voltages`]) under inputs `v`, independently
+    /// of any solver bookkeeping: every series cell's internal node is
+    /// solved afresh, never from a cache's carried guess.
     ///
     /// A converged [`SolveReport`] must satisfy
     /// `verify_kcl(v, &report.node_voltages) <= effective_tolerance(v)`.
@@ -435,7 +435,7 @@ impl CrossbarCircuit {
             &mut vec![f64::NAN; half],
             &mut vec![0.0; half],
         );
-        Ok(linalg::vec_ops::norm_inf(&residual))
+        Ok(residual_norm(&residual))
     }
 
     /// KCL residual `F(x)`: net current leaving each node, with the
@@ -674,7 +674,7 @@ impl CrossbarCircuit {
                 w
             }
         };
-        let mut res_norm = linalg::vec_ops::norm_inf(&s.residual);
+        let mut res_norm = residual_norm(&s.residual);
         let tolerance = self.effective_tolerance(v);
 
         let mut dx = vec![0.0; n];
@@ -692,11 +692,18 @@ impl CrossbarCircuit {
                 // Damped update: halve the step until the residual shrinks.
                 let mut scale = 1.0;
                 for _ in 0..=self.options.max_dampings {
+                    let mut finite = true;
                     for ((t, &x), &d) in trial.iter_mut().zip(&s.x).zip(&dx) {
                         *t = x - scale * d;
+                        finite &= t.is_finite();
+                    }
+                    if !finite {
+                        // A non-finite correction stays non-finite at any
+                        // scale, and its trial must not reach the devices.
+                        break;
                     }
                     self.kcl_residual(v, &trial, &mut trial_res, &mut s.u, &mut trial_gd);
-                    let trial_norm = linalg::vec_ops::norm_inf(&trial_res);
+                    let trial_norm = residual_norm(&trial_res);
                     if trial_norm < res_norm || trial_norm <= tolerance {
                         std::mem::swap(&mut s.x, &mut trial);
                         std::mem::swap(&mut s.residual, &mut trial_res);
@@ -739,7 +746,7 @@ impl CrossbarCircuit {
                 budget = self.options.max_iterations;
                 self.kcl_residual(v, &s.x, &mut s.residual, &mut s.u, &mut s.gd);
                 s.adjustments = 0;
-                res_norm = linalg::vec_ops::norm_inf(&s.residual);
+                res_norm = residual_norm(&s.residual);
             } else {
                 if telemetry::enabled() {
                     metrics().newton_diverged.inc();
@@ -995,6 +1002,15 @@ impl Chains {
             }
         }
     }
+}
+
+/// Infinity norm of a KCL residual, or `f64::INFINITY` if any entry is
+/// NaN, so a residual the devices could not evaluate is never converged
+/// and never an improvement.
+fn residual_norm(r: &[f64]) -> f64 {
+    r.iter().fold(0.0, |acc: f64, &e| {
+        acc.max(if e.is_nan() { f64::INFINITY } else { e.abs() })
+    })
 }
 
 /// Copies `src` into `dst`, returning the largest absolute change.

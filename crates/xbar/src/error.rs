@@ -13,8 +13,6 @@ pub enum XbarError {
         iterations: usize,
         residual_norm: f64,
     },
-    /// An underlying linear-algebra kernel failed.
-    Numerical(String),
     /// An input voltage or conductance was NaN/inf or outside its
     /// physical range.
     OutOfRange(String),
@@ -33,7 +31,6 @@ impl fmt::Display for XbarError {
                 "newton iteration diverged after {iterations} steps \
                  (residual {residual_norm:.3e})"
             ),
-            XbarError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
             XbarError::OutOfRange(msg) => write!(f, "value out of range: {msg}"),
         }
     }

@@ -79,8 +79,6 @@ pub use error::XbarError;
 pub use params::{CrossbarParams, CrossbarParamsBuilder, DeviceParams, NonIdealityConfig};
 pub use zoo::{NonIdeality, NonIdealityStack, Stage};
 
-use linalg::LinalgError;
-
 /// Computes the ideal MVM `I_j = Σ_i V_i · G_ij`.
 ///
 /// This is the arithmetic a perfect crossbar would perform and the
@@ -122,12 +120,6 @@ pub fn ideal_mvm(v: &[f64], g: &ConductanceMatrix) -> Result<Vec<f64>, XbarError
         }
     }
     Ok(out)
-}
-
-impl From<LinalgError> for XbarError {
-    fn from(err: LinalgError) -> Self {
-        XbarError::Numerical(err.to_string())
-    }
 }
 
 #[cfg(test)]

@@ -5,14 +5,19 @@
 //! Lives in its own test binary because it reads process-wide
 //! telemetry counters.
 
+use std::sync::{Mutex, PoisonError};
 use xbar::{
     ConductanceMatrix, CrossbarCircuit, CrossbarParams, NewtonOptions, SolverCache, XbarError,
 };
 
 const SIZE: usize = 8;
 
+/// The tests assert exact counter deltas, so they take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn warm_divergence_restarts_once_then_fails_typed_and_counted() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_enabled(true);
     let diverged = telemetry::counter("xbar.newton_diverged");
     let fallbacks = telemetry::counter("xbar.amortized.fallbacks");
@@ -58,4 +63,37 @@ fn warm_divergence_restarts_once_then_fails_typed_and_counted() {
     let next = circuit.solve_amortized(&[0.0; SIZE], &mut cache).unwrap();
     assert!(!next.warm_start);
     assert_eq!(next, circuit.solve(&[0.0; SIZE]).unwrap());
+}
+
+#[test]
+fn overflowing_device_current_fails_typed_and_counted() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    telemetry::set_enabled(true);
+    let diverged = telemetry::counter("xbar.newton_diverged");
+
+    // At 200 V the cold guess puts about 200 V across the first row's
+    // cells, and the sinh device current overflows past about 177 V
+    // (V0 = 0.25 V), so the first residual is not finite. With every
+    // cell off its entries are NaN, which a NaN-skipping max-norm
+    // reads as converged; with mixed cells the first correction is NaN,
+    // and evaluating its trial reaches a series cell's inner solve.
+    let params = CrossbarParams::builder(2, 2)
+        .v_supply(200.0)
+        .build()
+        .unwrap();
+    for levels in [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.1]] {
+        let g = ConductanceMatrix::from_levels(&params, &levels).unwrap();
+        let circuit = CrossbarCircuit::new(&params, &g).unwrap();
+        let before = diverged.get();
+        let err = circuit.solve(&[200.0, 0.0]).unwrap_err();
+        assert!(
+            matches!(err, XbarError::NewtonDiverged { .. }),
+            "levels {levels:?}: expected NewtonDiverged, got {err:?}"
+        );
+        assert_eq!(
+            diverged.get() - before,
+            1,
+            "levels {levels:?}: one failure exit"
+        );
+    }
 }

@@ -10,7 +10,6 @@
 
 pub use funcsim;
 pub use geniex;
-pub use linalg;
 pub use nn;
 pub use vision;
 pub use xbar;
