@@ -8,12 +8,15 @@
 //! configuration noise goes to stderr.
 
 use funcsim::{
-    harvest_stimuli, AnalyticalEngine, ArchConfig, CrossbarEngine, CrossbarNetwork, GeniexEngine,
-    IdealEngine,
+    harvest_stimuli, AnalyticalEngine, ArchConfig, CircuitEngine, CrossbarEngine, CrossbarNetwork,
+    GeniexEngine, IdealEngine, ProgrammedMatrix,
 };
 use geniex::dataset::{generate, DatasetConfig};
 use geniex::{Geniex, TrainConfig};
 use geniex_bench::setup::accuracy_design_point;
+use nn::Tensor;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vision::{rescale_for_fxp, train_model, MicroResNet, SynthSpec, SynthVision, TrainOptions};
 use xbar::sweep::{current_pairs, nf_distribution};
 
@@ -169,6 +172,29 @@ fn main() {
         d.push_f32s(&s.g_levels);
     }
     println!("harvest n={} digest={}", stimuli.len(), d.hex());
+
+    // 8. Ground-truth MVM (amortized CircuitEngine solves, warm-started
+    //    tile by tile across the stream steps, as `truth-eval` runs
+    //    them): three tile rows of signed inputs, output codes digested
+    //    exactly.
+    let (k, m, n) = (3 * params.rows, params.cols, 8);
+    let mut rng = StdRng::seed_from_u64(8);
+    let weight: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let bias: Vec<f32> = (0..m).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+    let codes: Vec<i64> = (0..n * k).map(|_| rng.gen_range(-8000i64..8000)).collect();
+    let matrix = ProgrammedMatrix::program(
+        &CircuitEngine,
+        &arch,
+        &Tensor::from_vec(weight, &[m, k]).expect("weight tensor"),
+        &Tensor::from_vec(bias, &[m]).expect("bias tensor"),
+    )
+    .expect("circuit programming");
+    let out = matrix.mvm_codes(&codes, n).expect("circuit mvm");
+    let mut d = Digest::new();
+    for &c in &out {
+        d.push(c as u64);
+    }
+    println!("circuit_mvm n={} digest={}", out.len(), d.hex());
 
     geniex_bench::manifest::finish(run, &accuracies);
 }

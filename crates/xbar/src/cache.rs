@@ -21,10 +21,10 @@
 //! # Invalidation
 //!
 //! A `SolverCache` never goes stale silently: every
-//! `solve_amortized`/`solve_batch` call re-derives the circuit's
-//! content key ([`CrossbarCircuit::solver_key`] — a
-//! [`store::Canonical`] digest of the design parameters, the programmed
-//! conductances and the Newton options) and compares it to the cached
+//! `solve_amortized`/`solve_batch` call compares the circuit's content
+//! key ([`CrossbarCircuit::solver_key`] — a [`store::Canonical`] digest
+//! of the design parameters, the programmed conductances and the Newton
+//! options, taken once when the circuit is programmed) to the cached
 //! one. On mismatch the cache re-keys and drops its warm state (it
 //! belongs to the old operating landscape). The warm state is
 //! additionally dropped whenever a solve fails, so a diverged sample

@@ -32,9 +32,7 @@
 
 use crate::cache::{SolverCache, WarmState};
 use crate::conductance::ConductanceMatrix;
-use crate::device::{
-    AccessDevice, DeviceModel, FilamentaryRram, LinearMemristor, SeriesCell, SeriesLinearCell,
-};
+use crate::device::CellArray;
 use crate::params::CrossbarParams;
 use crate::XbarError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,6 +60,8 @@ pub(crate) struct CircuitMetrics {
     solve_time: Arc<telemetry::Timer>,
     newton_iterations: Arc<telemetry::Histogram>,
     dampings: Arc<telemetry::Histogram>,
+    bgs_sweeps: Arc<telemetry::Histogram>,
+    cell_iterations: Arc<telemetry::Counter>,
     warm_starts: Arc<telemetry::Counter>,
     cold_starts: Arc<telemetry::Counter>,
     newton_diverged: Arc<telemetry::Counter>,
@@ -83,6 +83,11 @@ pub(crate) fn metrics() -> &'static CircuitMetrics {
             "xbar.newton_dampings",
             &telemetry::linear_buckets(0.0, 1.0, 8),
         ),
+        bgs_sweeps: telemetry::histogram(
+            "xbar.bgs_sweeps",
+            &telemetry::linear_buckets(0.0, 1.0, 32),
+        ),
+        cell_iterations: telemetry::counter("xbar.cell_iterations"),
         warm_starts: telemetry::counter("xbar.warm_starts"),
         cold_starts: telemetry::counter("xbar.cold_starts"),
         newton_diverged: telemetry::counter("xbar.newton_diverged"),
@@ -145,40 +150,6 @@ pub struct SolveReport {
     pub warm_start: bool,
 }
 
-/// The per-junction device, selected by [`crate::NonIdealityConfig`].
-#[derive(Debug, Clone, Copy)]
-enum Cell {
-    Linear(LinearMemristor),
-    Rram(FilamentaryRram),
-    RramWithAccess(SeriesCell),
-    LinearWithAccess(SeriesLinearCell),
-}
-
-impl Cell {
-    #[inline]
-    fn current(&self, v: f64) -> f64 {
-        match self {
-            Cell::Linear(d) => d.current(v),
-            Cell::Rram(d) => d.current(v),
-            Cell::RramWithAccess(d) => d.current(v),
-            Cell::LinearWithAccess(d) => d.current(v),
-        }
-    }
-
-    /// Current and differential conductance with an internal-node warm
-    /// start (series cells only — two-terminal cells have no internal
-    /// node and ignore `u`). See `device::SeriesPair::current_and_didv_warm`.
-    #[inline]
-    fn current_and_didv_warm(&self, v: f64, u: &mut f64) -> (f64, f64) {
-        match self {
-            Cell::Linear(d) => d.current_and_didv(v),
-            Cell::Rram(d) => d.current_and_didv(v),
-            Cell::RramWithAccess(d) => d.current_and_didv_warm(v, u),
-            Cell::LinearWithAccess(d) => d.current_and_didv_warm(v, u),
-        }
-    }
-}
-
 /// A programmed, non-ideal crossbar ready to solve MVM operating points.
 ///
 /// Construction captures the conductance state `G`; [`solve`] evaluates
@@ -190,12 +161,10 @@ impl Cell {
 #[derive(Debug, Clone)]
 pub struct CrossbarCircuit {
     params: CrossbarParams,
-    cells: Vec<Cell>,
-    /// The programmed conductances, retained verbatim for content
-    /// keying ([`Self::solver_key`]) — `cells` holds the compensated
-    /// device state, not the programmed values.
-    g_values: Vec<f64>,
+    cells: CellArray,
     options: NewtonOptions,
+    /// [`Self::solver_key`], digested once at programming time.
+    key: store::Key,
     /// Process-unique tile id keying this circuit's trace events.
     tile_id: u64,
 }
@@ -205,8 +174,7 @@ impl CrossbarCircuit {
     ///
     /// # Errors
     ///
-    /// Returns [`XbarError::Shape`] if `g` does not match the
-    /// dimensions in `params`.
+    /// As [`CrossbarCircuit::with_options`].
     pub fn new(params: &CrossbarParams, g: &ConductanceMatrix) -> Result<Self, XbarError> {
         Self::with_options(params, g, NewtonOptions::default())
     }
@@ -215,8 +183,10 @@ impl CrossbarCircuit {
     ///
     /// # Errors
     ///
-    /// Returns [`XbarError::Shape`] if `g` does not match the
-    /// dimensions in `params`.
+    /// * [`XbarError::Shape`] if `g` does not match the dimensions in
+    ///   `params`.
+    /// * [`XbarError::InvalidParameter`] if an access device is modelled
+    ///   and some conductance is not below the access device's.
     pub fn with_options(
         params: &CrossbarParams,
         g: &ConductanceMatrix,
@@ -231,48 +201,16 @@ impl CrossbarCircuit {
                 params.cols
             )));
         }
-        let cfg = params.nonideality;
-        let dev = &params.device;
-        // Programming is closed-loop in real arrays: a cell "programmed
-        // to G" reads G *through* its access device at small signal.
-        // When the access device is modelled, the memristor itself is
-        // therefore programmed to the compensated conductance
-        // g_m = G·g_acc / (g_acc - G), so the series small-signal
-        // conductance equals G and the access device contributes only
-        // its *nonlinearity* (plus large-signal compression).
-        let compensate = |gij: f64| -> Result<f64, XbarError> {
-            if gij >= dev.access_g {
-                return Err(XbarError::InvalidParameter(format!(
-                    "programmed conductance {gij} S is not reachable through \
-                     an access device of {} S",
-                    dev.access_g
-                )));
-            }
-            Ok(gij * dev.access_g / (dev.access_g - gij))
-        };
-        let cells = g
-            .as_slice()
-            .iter()
-            .map(|&gij| {
-                Ok(match (cfg.device_nonlinearity, cfg.access_device) {
-                    (false, false) => Cell::Linear(LinearMemristor::new(gij)),
-                    (true, false) => Cell::Rram(FilamentaryRram::from_conductance(gij, dev)),
-                    (true, true) => Cell::RramWithAccess(SeriesCell::new(
-                        AccessDevice::new(dev.access_g, dev.access_v_sat),
-                        FilamentaryRram::from_conductance(compensate(gij)?, dev),
-                    )),
-                    (false, true) => Cell::LinearWithAccess(SeriesLinearCell::new(
-                        AccessDevice::new(dev.access_g, dev.access_v_sat),
-                        LinearMemristor::new(compensate(gij)?),
-                    )),
-                })
-            })
-            .collect::<Result<Vec<_>, XbarError>>()?;
+        let cells = CellArray::program(g.as_slice(), params.nonideality, &params.device)?;
+        let mut key = store::KeyBuilder::new(*b"solv");
+        key.nested("params", params)
+            .f64_slice("g", g.as_slice())
+            .nested("newton", &options);
         Ok(CrossbarCircuit {
             params: params.clone(),
             cells,
-            g_values: g.as_slice().to_vec(),
             options,
+            key: key.finish(),
             tile_id: NEXT_TILE_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
@@ -286,13 +224,10 @@ impl CrossbarCircuit {
     /// a [`SolverCache`] keeps its warm start only while the circuit it
     /// is handed still has the key it was built for. The `tile_id` is
     /// deliberately excluded: it identifies the *instance* for tracing,
-    /// not the content.
+    /// not the content. The key is digested once, when the circuit is
+    /// programmed.
     pub fn solver_key(&self) -> store::Key {
-        let mut key = store::KeyBuilder::new(*b"solv");
-        key.nested("params", &self.params)
-            .f64_slice("g", &self.g_values)
-            .nested("newton", &self.options);
-        key.finish()
+        self.key
     }
 
     /// The design parameters this circuit was built with.
@@ -326,11 +261,6 @@ impl CrossbarCircuit {
         self.rows() * self.cols() + i * self.cols() + j
     }
 
-    #[inline]
-    fn cell(&self, i: usize, j: usize) -> &Cell {
-        &self.cells[i * self.cols() + j]
-    }
-
     /// Solves the DC operating point for input voltages `v` from a
     /// cold start: word lines at their driven voltage, bit lines at
     /// virtual ground.
@@ -350,29 +280,37 @@ impl CrossbarCircuit {
     }
 
     /// Fast path when parasitics are disabled: every cell sees exactly
-    /// its row's input voltage, so columns decouple.
-    fn solve_without_parasitics(&self, v: &[f64]) -> SolveReport {
+    /// its row's input voltage, so columns decouple. Also returns the
+    /// cells' junction Newton iterations.
+    fn solve_without_parasitics(&self, v: &[f64]) -> (SolveReport, u64) {
         let (rows, cols) = (self.rows(), self.cols());
+        let half = rows * cols;
+        let mut node_voltages = vec![0.0; 2 * half];
+        for (i, &vi) in v.iter().enumerate() {
+            node_voltages[i * cols..(i + 1) * cols].fill(vi);
+        }
+        let mut cell_currents = vec![0.0; 2 * half];
+        let cell_iterations = self.cells.evaluate(
+            &node_voltages,
+            &mut cell_currents,
+            &mut vec![f64::NAN; half],
+            &mut vec![0.0; half],
+        );
         let mut currents = vec![0.0; cols];
-        for i in 0..rows {
-            for j in 0..cols {
-                currents[j] += self.cell(i, j).current(v[i]);
+        for row in cell_currents[..half].chunks_exact(cols) {
+            for (sum, &i) in currents.iter_mut().zip(row) {
+                *sum += i;
             }
         }
-        let mut node_voltages = vec![0.0; 2 * rows * cols];
-        for i in 0..rows {
-            for j in 0..cols {
-                node_voltages[self.w_idx(i, j)] = v[i];
-            }
-        }
-        SolveReport {
+        let report = SolveReport {
             currents,
             node_voltages,
             newton_iterations: 0,
             residual_norm: 0.0,
             dampings: 0,
             warm_start: false,
-        }
+        };
+        (report, cell_iterations)
     }
 
     /// The KCL residual tolerance (amperes, infinity norm) the Newton
@@ -439,7 +377,8 @@ impl CrossbarCircuit {
     }
 
     /// KCL residual `F(x)`: net current leaving each node, with the
-    /// exact Jacobian's cell terms as a byproduct.
+    /// exact Jacobian's cell terms as a byproduct. Returns the cells'
+    /// junction Newton iterations.
     ///
     /// * `u[i * cols + j]` carries the series cell's internal voltage
     ///   from the previous evaluation into the next one (NaN = no
@@ -451,7 +390,14 @@ impl CrossbarCircuit {
     ///   conductance at this operating point — a byproduct of the same
     ///   internal solve that produced the current, so the Newton
     ///   correction at `x` needs no second device solve per cell.
-    fn kcl_residual(&self, v: &[f64], x: &[f64], out: &mut [f64], u: &mut [f64], gd: &mut [f64]) {
+    fn kcl_residual(
+        &self,
+        v: &[f64],
+        x: &[f64],
+        out: &mut [f64],
+        u: &mut [f64],
+        gd: &mut [f64],
+    ) -> u64 {
         let (rows, cols) = (self.rows(), self.cols());
         let g_src = 1.0 / self.params.r_source;
         let g_snk = 1.0 / self.params.r_sink;
@@ -484,24 +430,14 @@ impl CrossbarCircuit {
             let bl = self.b_idx(rows - 1, j);
             out[bl] += g_snk * x[bl];
         }
-        // Cross-point devices.
-        for i in 0..rows {
-            for j in 0..cols {
-                let wn = self.w_idx(i, j);
-                let bn = self.b_idx(i, j);
-                let (idev, g) = self
-                    .cell(i, j)
-                    .current_and_didv_warm(x[wn] - x[bn], &mut u[i * cols + j]);
-                out[wn] += idev;
-                out[bn] -= idev;
-                gd[i * cols + j] = g;
-            }
-        }
+        // Cross-point devices, a block of cells at a time.
+        self.cells.evaluate(x, out, u, gd)
     }
 
     /// Solves the Newton correction `J·dx = f` by block Gauss–Seidel,
     /// with `J` linearized at the per-cell conductances `gd`. Returns
-    /// `false` if the sweeps fail to contract.
+    /// `false` if the sweeps fail to contract. The sweeps taken are
+    /// recorded in the `xbar.bgs_sweeps` histogram.
     ///
     /// The Jacobian has the 2x2 block form `[A, -D; -D, B]` where `D`
     /// is the diagonal of cell conductances, `A` decomposes into one
@@ -546,7 +482,9 @@ impl CrossbarCircuit {
         // correction only needs inexact-Newton accuracy (relative to
         // the first sweep's step size).
         let mut first_delta = 0.0f64;
-        for sweep in 0..MAX_SWEEPS {
+        let mut sweeps = 0;
+        let mut converged = false;
+        while !converged && sweeps < MAX_SWEEPS {
             word_lines.solve(
                 &work.w_inv_denom,
                 &work.w_c_prime,
@@ -563,17 +501,19 @@ impl CrossbarCircuit {
                 sol,
             );
             delta = delta.max(replace_max_change(db, sol));
-            if sweep == 0 {
+            if sweeps == 0 {
                 first_delta = delta;
             }
+            sweeps += 1;
             // Inexact-Newton stop: the correction direction is accurate
             // enough once sweeps refine it below 1e-8 of its own scale
             // (absolute femtovolt floor for already-converged points).
-            if delta < 1e-15 + 1e-8 * first_delta {
-                return true;
-            }
+            converged = delta < 1e-15 + 1e-8 * first_delta;
         }
-        false
+        if telemetry::enabled() {
+            metrics().bgs_sweeps.observe(sweeps as f64);
+        }
+        converged
     }
 
     /// The damped-Newton driver behind every entry point.
@@ -631,18 +571,21 @@ impl CrossbarCircuit {
         });
 
         if !self.params.nonideality.parasitics {
-            let report = self.solve_without_parasitics(v);
+            let (report, cell_iterations) = self.solve_without_parasitics(v);
             if let Some(t) = t_start {
                 let m = metrics();
                 m.solves.inc();
                 m.solve_time.record(t.elapsed());
                 m.newton_iterations.observe(0.0);
+                m.cell_iterations.add(cell_iterations);
             }
             return Ok(report);
         }
 
         let n = 2 * rows * cols;
         let half = rows * cols;
+        // Junction Newton iterations, tallied here and recorded once.
+        let mut cell_iterations = 0;
         let mut s = match warm {
             Some(mut w) if w.adjustments < MAX_ADJUSTMENTS => {
                 let g_src = 1.0 / self.params.r_source;
@@ -653,7 +596,7 @@ impl CrossbarCircuit {
                 w
             }
             Some(mut w) => {
-                self.kcl_residual(v, &w.x, &mut w.residual, &mut w.u, &mut w.gd);
+                cell_iterations += self.kcl_residual(v, &w.x, &mut w.residual, &mut w.u, &mut w.gd);
                 w.adjustments = 0;
                 w
             }
@@ -670,7 +613,7 @@ impl CrossbarCircuit {
                     gd: vec![0.0; half],
                     adjustments: 0,
                 };
-                self.kcl_residual(v, &w.x, &mut w.residual, &mut w.u, &mut w.gd);
+                cell_iterations += self.kcl_residual(v, &w.x, &mut w.residual, &mut w.u, &mut w.gd);
                 w
             }
         };
@@ -702,7 +645,8 @@ impl CrossbarCircuit {
                         // scale, and its trial must not reach the devices.
                         break;
                     }
-                    self.kcl_residual(v, &trial, &mut trial_res, &mut s.u, &mut trial_gd);
+                    cell_iterations +=
+                        self.kcl_residual(v, &trial, &mut trial_res, &mut s.u, &mut trial_gd);
                     let trial_norm = residual_norm(&trial_res);
                     if trial_norm < res_norm || trial_norm <= tolerance {
                         std::mem::swap(&mut s.x, &mut trial);
@@ -744,7 +688,7 @@ impl CrossbarCircuit {
                 }
                 can_restart = false;
                 budget = self.options.max_iterations;
-                self.kcl_residual(v, &s.x, &mut s.residual, &mut s.u, &mut s.gd);
+                cell_iterations += self.kcl_residual(v, &s.x, &mut s.residual, &mut s.u, &mut s.gd);
                 s.adjustments = 0;
                 res_norm = residual_norm(&s.residual);
             } else {
@@ -768,6 +712,7 @@ impl CrossbarCircuit {
             m.solve_time.record(t.elapsed());
             m.newton_iterations.observe(iterations as f64);
             m.dampings.observe(dampings_total as f64);
+            m.cell_iterations.add(cell_iterations);
             if warm_start {
                 m.warm_starts.inc();
             } else {
@@ -933,9 +878,11 @@ const CHAIN_BLOCK: usize = 8;
 ///
 /// Each step along a chain depends on the previous one, so a chain
 /// alone runs at the latency of its recurrence. The chains of a block
-/// therefore advance in lockstep — independent work that fills that
-/// latency — and a block's few cache lines stay resident while it
-/// walks its chains; bit-line blocks are also contiguous in memory.
+/// therefore advance in lockstep, each block's running values held in
+/// `[f64; CHAIN_BLOCK]` arrays rather than re-read from memory, so the
+/// independent recurrences fill that latency from registers; a
+/// block's few cache lines stay resident while it walks its chains, and
+/// bit-line blocks are also contiguous in memory.
 struct Chains {
     len: usize,
     count: usize,
@@ -951,23 +898,37 @@ impl Chains {
     /// super-diagonal `c'` so every later [`Chains::solve`] is
     /// multiply-only.
     fn factor(&self, gd: &[f64], g_w: f64, inv_denom: &mut [f64], c_prime: &mut [f64]) {
+        let full = self.count - self.count % CHAIN_BLOCK;
+        for first in (0..full).step_by(CHAIN_BLOCK) {
+            self.factor_block::<CHAIN_BLOCK>(first, gd, g_w, inv_denom, c_prime);
+        }
+        for first in full..self.count {
+            self.factor_block::<1>(first, gd, g_w, inv_denom, c_prime);
+        }
+    }
+
+    /// [`factor`](Self::factor) for the `W` chains from `first` on.
+    #[inline(always)]
+    fn factor_block<const W: usize>(
+        &self,
+        first: usize,
+        gd: &[f64],
+        g_w: f64,
+        inv_denom: &mut [f64],
+        c_prime: &mut [f64],
+    ) {
         let off = -g_w;
-        for first in (0..self.count).step_by(CHAIN_BLOCK) {
-            let block = first..(first + CHAIN_BLOCK).min(self.count);
-            for k in 0..self.len {
-                let links = if k == 0 { self.g_first } else { g_w }
-                    + if k + 1 < self.len { g_w } else { self.g_last };
-                for c in block.clone() {
-                    let idx = k * self.step + c * self.stride;
-                    let c_prev = if k == 0 {
-                        0.0
-                    } else {
-                        c_prime[idx - self.step]
-                    };
-                    let inv = 1.0 / (gd[idx] + links - off * c_prev);
-                    inv_denom[idx] = inv;
-                    c_prime[idx] = off * inv;
-                }
+        let mut c_prev = [0.0; W];
+        for k in 0..self.len {
+            let links = if k == 0 { self.g_first } else { g_w }
+                + if k + 1 < self.len { g_w } else { self.g_last };
+            let base = k * self.step + first * self.stride;
+            for l in 0..W {
+                let idx = base + l * self.stride;
+                let inv = 1.0 / (gd[idx] + links - off * c_prev[l]);
+                inv_denom[idx] = inv;
+                c_prev[l] = off * inv;
+                c_prime[idx] = c_prev[l];
             }
         }
     }
@@ -984,21 +945,42 @@ impl Chains {
         rhs: impl Fn(usize) -> f64,
         sol: &mut [f64],
     ) {
+        let full = self.count - self.count % CHAIN_BLOCK;
+        for first in (0..full).step_by(CHAIN_BLOCK) {
+            self.solve_block::<CHAIN_BLOCK>(first, inv_denom, c_prime, g_w, &rhs, sol);
+        }
+        for first in full..self.count {
+            self.solve_block::<1>(first, inv_denom, c_prime, g_w, &rhs, sol);
+        }
+    }
+
+    /// [`solve`](Self::solve) for the `W` chains from `first` on.
+    #[inline(always)]
+    fn solve_block<const W: usize>(
+        &self,
+        first: usize,
+        inv_denom: &[f64],
+        c_prime: &[f64],
+        g_w: f64,
+        rhs: &impl Fn(usize) -> f64,
+        sol: &mut [f64],
+    ) {
         let off = -g_w;
-        for first in (0..self.count).step_by(CHAIN_BLOCK) {
-            let block = first..(first + CHAIN_BLOCK).min(self.count);
-            for k in 0..self.len {
-                for c in block.clone() {
-                    let idx = k * self.step + c * self.stride;
-                    let prev = if k == 0 { 0.0 } else { sol[idx - self.step] };
-                    sol[idx] = (rhs(idx) - off * prev) * inv_denom[idx];
-                }
+        let mut prev = [0.0; W];
+        for k in 0..self.len {
+            let base = k * self.step + first * self.stride;
+            for l in 0..W {
+                let idx = base + l * self.stride;
+                prev[l] = (rhs(idx) - off * prev[l]) * inv_denom[idx];
+                sol[idx] = prev[l];
             }
-            for k in (0..self.len.saturating_sub(1)).rev() {
-                for c in block.clone() {
-                    let idx = k * self.step + c * self.stride;
-                    sol[idx] -= c_prime[idx] * sol[idx + self.step];
-                }
+        }
+        for k in (0..self.len.saturating_sub(1)).rev() {
+            let base = k * self.step + first * self.stride;
+            for l in 0..W {
+                let idx = base + l * self.stride;
+                prev[l] = sol[idx] - c_prime[idx] * prev[l];
+                sol[idx] = prev[l];
             }
         }
     }
@@ -1085,6 +1067,76 @@ mod tests {
                 }
             }
         }
+
+        // A full block (8 chains) and a block plus a tail (11), against
+        // a plain one-chain-at-a-time Thomas solve with the same
+        // operations, bit for bit. Distinct cell terms and right-hand
+        // sides per chain make any lane that reads another's data show.
+        let (len, g_w, g_first, g_last) = (5, 0.4, 0.002, 0.01);
+        for count in [8, 11] {
+            let value = |k: usize, c: usize, salt: usize| {
+                ((k * 7 + c * 13 + salt) % 17) as f64 * 1e-3 + 1e-4
+            };
+            for (step, stride) in [(1, len), (count, 1)] {
+                let chains = Chains {
+                    len,
+                    count,
+                    step,
+                    stride,
+                    g_first,
+                    g_last,
+                };
+                let idx = |k: usize, c: usize| k * step + c * stride;
+                let (mut gd, mut rhs) = (vec![0.0; len * count], vec![0.0; len * count]);
+                for c in 0..count {
+                    for k in 0..len {
+                        gd[idx(k, c)] = value(k, c, 1);
+                        rhs[idx(k, c)] = value(k, c, 5) - 0.008;
+                    }
+                }
+                let mut inv = vec![0.0; len * count];
+                let mut cp = vec![0.0; len * count];
+                let mut x = vec![0.0; len * count];
+                chains.factor(&gd, g_w, &mut inv, &mut cp);
+                chains.solve(&inv, &cp, g_w, |i| rhs[i], &mut x);
+                for c in 0..count {
+                    let off = -g_w;
+                    let (mut pivot, mut cp_ref, mut y) = ([0.0; 5], [0.0; 5], [0.0; 5]);
+                    for k in 0..len {
+                        let links = if k == 0 { g_first } else { g_w }
+                            + if k + 1 < len { g_w } else { g_last };
+                        let (c_prev, y_prev) = if k == 0 {
+                            (0.0, 0.0)
+                        } else {
+                            (cp_ref[k - 1], y[k - 1])
+                        };
+                        pivot[k] = 1.0 / (gd[idx(k, c)] + links - off * c_prev);
+                        cp_ref[k] = off * pivot[k];
+                        y[k] = (rhs[idx(k, c)] - off * y_prev) * pivot[k];
+                    }
+                    for k in (0..len - 1).rev() {
+                        y[k] -= cp_ref[k] * y[k + 1];
+                    }
+                    for k in 0..len {
+                        let at = format!("count {count}, stride {stride}, chain {c}, node {k}");
+                        assert_eq!(inv[idx(k, c)].to_bits(), pivot[k].to_bits(), "{at}");
+                        assert_eq!(cp[idx(k, c)].to_bits(), cp_ref[k].to_bits(), "{at}");
+                        assert_eq!(x[idx(k, c)].to_bits(), y[k].to_bits(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verify_kcl_reads_nan_node_voltages_as_unconverged() {
+        let p = params(3, 4);
+        let g = ConductanceMatrix::uniform(3, 4, p.g_on());
+        let circuit = CrossbarCircuit::new(&p, &g).unwrap();
+        let v = vec![0.25; 3];
+        let mut x = circuit.solve(&v).unwrap().node_voltages;
+        x[5] = f64::NAN;
+        assert_eq!(circuit.verify_kcl(&v, &x).unwrap(), f64::INFINITY);
     }
 
     #[test]

@@ -242,8 +242,10 @@ impl CrossbarParamsBuilder {
     /// # Errors
     ///
     /// Returns [`XbarError::InvalidParameter`] if any dimension is zero,
-    /// any resistance is non-positive or non-finite, the ON/OFF ratio is
-    /// ≤ 1, or the supply voltage is non-positive.
+    /// any resistance, the supply voltage or any device parameter is
+    /// non-positive or non-finite (NaN included), the ON/OFF ratio is
+    /// ≤ 1, or the device current `sinh(v_supply / v0)` overflows at the
+    /// supply voltage.
     pub fn build(self) -> Result<CrossbarParams, XbarError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(XbarError::InvalidParameter(format!(
@@ -270,15 +272,25 @@ impl CrossbarParamsBuilder {
                 self.on_off_ratio
             )));
         }
-        if self.device.v0 <= 0.0 || self.device.d0 <= 0.0 || self.device.i0 <= 0.0 {
-            return Err(XbarError::InvalidParameter(
-                "device parameters d0, v0, i0 must be positive".into(),
-            ));
+        let dev = &self.device;
+        for (name, v) in [
+            ("d0", dev.d0),
+            ("v0", dev.v0),
+            ("i0", dev.i0),
+            ("access_g", dev.access_g),
+            ("access_v_sat", dev.access_v_sat),
+        ] {
+            if !v.is_finite() || v <= 0.0 {
+                return Err(XbarError::InvalidParameter(format!(
+                    "device parameter {name} must be positive and finite, got {v}"
+                )));
+            }
         }
-        if self.device.access_g <= 0.0 || self.device.access_v_sat <= 0.0 {
-            return Err(XbarError::InvalidParameter(
-                "access device parameters must be positive".into(),
-            ));
+        if !(self.v_supply / dev.v0).sinh().is_finite() {
+            return Err(XbarError::InvalidParameter(format!(
+                "v_supply {} V overflows the device current sinh(v_supply / v0) at v0 = {} V",
+                self.v_supply, dev.v0
+            )));
         }
         Ok(CrossbarParams {
             rows: self.rows,
@@ -390,6 +402,44 @@ mod tests {
     #[test]
     fn rejects_bad_supply() {
         assert!(CrossbarParams::builder(2, 2).v_supply(0.0).build().is_err());
+    }
+
+    #[test]
+    fn rejects_supply_that_overflows_the_device_current() {
+        // sinh(v / 0.25) overflows past about 177.5 V.
+        assert!(CrossbarParams::builder(2, 2)
+            .v_supply(177.0)
+            .build()
+            .is_ok());
+        for v in [178.0, 200.0] {
+            let err = CrossbarParams::builder(2, 2).v_supply(v).build();
+            assert!(
+                matches!(err, Err(XbarError::InvalidParameter(_))),
+                "v_supply {v}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_nan_device_parameters() {
+        let fields: [fn(&mut DeviceParams) -> &mut f64; 5] = [
+            |d| &mut d.d0,
+            |d| &mut d.v0,
+            |d| &mut d.i0,
+            |d| &mut d.access_g,
+            |d| &mut d.access_v_sat,
+        ];
+        for (k, field) in fields.iter().enumerate() {
+            for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+                let mut device = DeviceParams::default();
+                *field(&mut device) = bad;
+                let err = CrossbarParams::builder(2, 2).device(device).build();
+                assert!(
+                    matches!(err, Err(XbarError::InvalidParameter(_))),
+                    "field {k} = {bad}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

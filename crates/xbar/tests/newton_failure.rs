@@ -71,16 +71,15 @@ fn overflowing_device_current_fails_typed_and_counted() {
     telemetry::set_enabled(true);
     let diverged = telemetry::counter("xbar.newton_diverged");
 
-    // At 200 V the cold guess puts about 200 V across the first row's
-    // cells, and the sinh device current overflows past about 177 V
-    // (V0 = 0.25 V), so the first residual is not finite. With every
-    // cell off its entries are NaN, which a NaN-skipping max-norm
+    // A 200 V input puts about 200 V across the first row's cells at
+    // the cold guess, and the sinh device current overflows past about
+    // 177 V (V0 = 0.25 V), so the first residual is not finite. With
+    // every cell off its entries are NaN, which a NaN-skipping max-norm
     // reads as converged; with mixed cells the first correction is NaN,
     // and evaluating its trial reaches a series cell's inner solve.
-    let params = CrossbarParams::builder(2, 2)
-        .v_supply(200.0)
-        .build()
-        .unwrap();
+    // `CrossbarParams` rejects a supply that high, but `solve` takes any
+    // finite input, so the crossbar is built at the default supply.
+    let params = CrossbarParams::builder(2, 2).build().unwrap();
     for levels in [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.1]] {
         let g = ConductanceMatrix::from_levels(&params, &levels).unwrap();
         let circuit = CrossbarCircuit::new(&params, &g).unwrap();
