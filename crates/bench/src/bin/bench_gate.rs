@@ -1,341 +1,123 @@
-//! Perf-regression gate over kernel benchmark summaries, the serve
-//! load harness, and the amortized-solver benchmark.
+//! Perf-regression gate over every leg in `geniex_bench::gate::LEGS`:
+//! the kernel microbenchmarks, the serve load harness and the
+//! amortized-solve benchmark.
 //!
-//! Compares a current `BENCH_kernels.json`-style summary against the
-//! committed baseline (`results/BENCH_baseline.json`) on speedup
-//! ratios — machine-relative, so the baseline transfers across hosts —
-//! and exits non-zero with a one-line repro when any kernel regresses
-//! past the tolerance. With `--serve`, also gates the serve load
-//! harness (`results/BENCH_serve.json` from `loadgen --compare`)
-//! against `results/BENCH_serve_baseline.json`; with `--solve`, the
-//! amortized-solver leg (`results/BENCH_solve.json` from `solve_bench`)
-//! against `results/BENCH_solve_baseline.json` — both on the same
-//! machine-relative terms (e.g. `batched_speedup`, `amortized_speedup`).
+//! Each leg compares the `gate` object of its current summary
+//! (`results/BENCH_<leg>.json`) against its committed baseline
+//! (`results/BENCH_<leg>_baseline.json`). Every metric is a
+//! machine-relative ratio (e.g. `matmul/64`, `batched_speedup`,
+//! `amortized_speedup`), and the tolerance comes from
+//! `GENIEX_GATE_TOLERANCE` (default 0.10).
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_gate [current.json]
-//!            [--baseline <path>] [--tolerance <fraction>]
-//!            [--update] [--inject-regression <kernel>[:factor]]
-//!            [--serve] [--serve-only] [--require-serve]
-//!            [--serve-current <path>] [--serve-baseline <path>]
-//!            [--solve] [--solve-only] [--require-solve]
-//!            [--solve-current <path>] [--solve-baseline <path>]
+//! bench_gate [--inject-regression <leg>:<metric>[:factor]]
 //! ```
 //!
-//! Defaults: current `results/BENCH_kernels.json`, baseline
-//! `results/BENCH_baseline.json`, tolerance `$GENIEX_GATE_TOLERANCE`
-//! (0.10). `--update` rewrites the baselines from the current
-//! summaries after a passing run — the explicit opt-in for ratcheting.
-//! `--inject-regression` worsens one metric before comparing so CI can
-//! prove the gate trips; prefix the name with `serve:` or `solve:` to
-//! target that leg's metric
+//! A plain run gates every leg and needs every leg's current summary.
+//! `--inject-regression` divides one metric of the named leg's current
+//! summary by `factor` (default 2) and gates only that leg: the
+//! self-test CI uses to prove the gate trips
 //! (`--inject-regression solve:amortized_speedup:3.0`).
-//! `--require-serve` / `--require-solve` fail when the leg's current
-//! summary is missing; plain `--serve` / `--solve` warn and skip the
-//! section instead, so local runs without a fresh benchmark don't
-//! break.
+//!
+//! Exit codes: 0 when every gated leg passes, 1 when a metric
+//! regressed beyond tolerance, 2 on a usage error, an unknown leg or
+//! metric, or a summary that cannot be read or parsed.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use geniex_bench::gate;
-use geniex_bench::setup::results_dir;
+use geniex_bench::gate::{self, Leg, LEGS};
+
+const USAGE: &str = "usage: bench_gate [--inject-regression <leg>:<metric>[:factor]]";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("bench_gate: {msg}");
     ExitCode::from(2)
 }
 
-/// One ratio-gated leg (serve or solve): both read `gate`-object JSON
-/// summaries and differ only in paths, labels, and the failure repro
-/// line baked into `render`.
-struct RatioLeg {
-    label: &'static str,
-    current_path: PathBuf,
-    baseline_path: PathBuf,
-    require: bool,
-    inject: Option<(String, f64)>,
-    render: fn(&gate::GateReport, f64) -> String,
+/// A parsed `--inject-regression` spec.
+struct Injection {
+    leg: &'static Leg,
+    metric: String,
+    factor: f64,
 }
 
-/// Runs one ratio leg. Returns `Ok(passed)`; a missing current summary
-/// on a non-required leg warns and counts as passed.
-fn run_ratio_leg(leg: RatioLeg, tolerance: f64, update: bool) -> Result<bool, String> {
-    let baseline_text = std::fs::read_to_string(&leg.baseline_path).map_err(|e| {
-        format!(
-            "cannot read {} baseline {}: {e}",
-            leg.label,
-            leg.baseline_path.display()
-        )
-    })?;
-    let baseline = gate::parse_serve_summary(&baseline_text).map_err(|e| {
-        format!(
-            "bad {} baseline {}: {e}",
-            leg.label,
-            leg.baseline_path.display()
-        )
-    })?;
-
-    let text = match std::fs::read_to_string(&leg.current_path) {
-        Ok(t) => t,
-        Err(e) if !leg.require => {
-            // No fresh run on this machine: warn and skip, so a local
-            // kernel-only bench_gate still works.
-            eprintln!(
-                "bench_gate: {} gate skipped, no current summary at {} ({e})",
-                leg.label,
-                leg.current_path.display()
-            );
-            return Ok(true);
-        }
-        Err(e) => {
-            return Err(format!(
-                "cannot read current {} summary {}: {e}",
-                leg.label,
-                leg.current_path.display()
-            ));
-        }
+fn parse_injection(spec: &str) -> Result<Injection, String> {
+    let malformed = || format!("malformed injection '{spec}'\n{USAGE}");
+    let mut parts = spec.split(':');
+    let (Some(leg), Some(metric)) = (parts.next(), parts.next()) else {
+        return Err(malformed());
     };
-    let mut current = gate::parse_serve_summary(&text).map_err(|e| {
-        format!(
-            "bad current {} summary {}: {e}",
-            leg.label,
-            leg.current_path.display()
-        )
+    let factor = match parts.next() {
+        Some(f) => f.parse::<f64>().map_err(|_| malformed())?,
+        None => 2.0,
+    };
+    if metric.is_empty() || parts.next().is_some() {
+        return Err(malformed());
+    }
+    let leg = gate::leg(leg).ok_or_else(|| {
+        let names: Vec<&str> = LEGS.iter().map(|l| l.name).collect();
+        format!("unknown leg '{leg}' (legs: {})", names.join(", "))
     })?;
-    if let Some((metric, factor)) = &leg.inject {
-        gate::inject_serve_regression(&mut current, metric, *factor)?;
-        eprintln!(
-            "bench_gate: injected {factor}x loss into {} '{metric}' (self-test)",
-            leg.label
-        );
-    }
-    let report = gate::compare_serve(&baseline, &current, tolerance);
-    print!("{}", (leg.render)(&report, tolerance));
+    Ok(Injection {
+        leg,
+        metric: metric.to_string(),
+        factor,
+    })
+}
 
-    if report.passed() && update {
-        std::fs::write(
-            &leg.baseline_path,
-            gate::serve_baseline_json(&current) + "\n",
-        )
-        .map_err(|e| {
-            format!(
-                "cannot update {} baseline {}: {e}",
-                leg.label,
-                leg.baseline_path.display()
-            )
-        })?;
-        println!(
-            "{} baseline updated: {}",
-            leg.label,
-            leg.baseline_path.display()
+fn parse_args() -> Result<Option<Injection>, String> {
+    let mut argv = std::env::args().skip(1);
+    let mut inject = None;
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--inject-regression" => {
+                let spec = argv
+                    .next()
+                    .ok_or_else(|| format!("--inject-regression needs a spec\n{USAGE}"))?;
+                inject = Some(parse_injection(&spec)?);
+            }
+            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
+        }
+    }
+    Ok(inject)
+}
+
+/// Gates one leg. Returns `Ok(passed)`; read, parse and injection
+/// errors are `Err`.
+fn run_leg(leg: &Leg, inject: Option<&Injection>, tolerance: f64) -> Result<bool, String> {
+    let baseline = gate::read_gate(&leg.baseline_path())?;
+    let mut current = gate::read_gate(&leg.current_path())?;
+    if let Some(inj) = inject {
+        gate::inject_regression(&mut current, &inj.metric, inj.factor)
+            .map_err(|e| format!("{} leg: {e}", leg.name))?;
+        eprintln!(
+            "bench_gate: injected {}x loss into {} '{}' (self-test)",
+            inj.factor, leg.name, inj.metric
         );
     }
+    let report = gate::compare(&baseline, &current, tolerance);
+    print!("{}", gate::render(leg, &report, tolerance));
     Ok(report.passed())
 }
 
 fn main() -> ExitCode {
-    let mut current_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut serve_current_path: Option<PathBuf> = None;
-    let mut serve_baseline_path: Option<PathBuf> = None;
-    let mut solve_current_path: Option<PathBuf> = None;
-    let mut solve_baseline_path: Option<PathBuf> = None;
-    let mut tolerance: Option<f64> = None;
-    let mut update = false;
-    let mut serve = false;
-    let mut solve = false;
-    let mut kernels_skipped = false;
-    let mut require_serve = false;
-    let mut require_solve = false;
-    let mut inject: Option<(String, f64)> = None;
-
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--baseline" => match argv.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return fail("--baseline needs a path"),
-            },
-            "--serve-current" => match argv.next() {
-                Some(p) => serve_current_path = Some(PathBuf::from(p)),
-                None => return fail("--serve-current needs a path"),
-            },
-            "--serve-baseline" => match argv.next() {
-                Some(p) => serve_baseline_path = Some(PathBuf::from(p)),
-                None => return fail("--serve-baseline needs a path"),
-            },
-            "--solve-current" => match argv.next() {
-                Some(p) => solve_current_path = Some(PathBuf::from(p)),
-                None => return fail("--solve-current needs a path"),
-            },
-            "--solve-baseline" => match argv.next() {
-                Some(p) => solve_baseline_path = Some(PathBuf::from(p)),
-                None => return fail("--solve-baseline needs a path"),
-            },
-            "--tolerance" => {
-                let parsed = argv.next().and_then(|t| t.parse::<f64>().ok());
-                match parsed.filter(|t| t.is_finite() && *t >= 0.0) {
-                    Some(t) => tolerance = Some(t),
-                    None => return fail("--tolerance needs a non-negative fraction"),
-                }
-            }
-            "--update" => update = true,
-            "--serve" => serve = true,
-            "--serve-only" => {
-                serve = true;
-                kernels_skipped = true;
-            }
-            "--require-serve" => {
-                serve = true;
-                require_serve = true;
-            }
-            "--solve" => solve = true,
-            "--solve-only" => {
-                solve = true;
-                kernels_skipped = true;
-            }
-            "--require-solve" => {
-                solve = true;
-                require_solve = true;
-            }
-            "--inject-regression" => {
-                let Some(spec) = argv.next() else {
-                    return fail("--inject-regression needs <kernel>[:factor]");
-                };
-                // A trailing `:number` is the factor; anything else is
-                // part of the metric name (e.g. `serve:batched_speedup`).
-                let (name, factor) = match spec.rsplit_once(':') {
-                    Some((k, f)) => match f.parse::<f64>() {
-                        Ok(f) => (k.to_string(), f),
-                        Err(_) => (spec, 2.0),
-                    },
-                    None => (spec, 2.0),
-                };
-                inject = Some((name, factor));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_gate [current.json] [--baseline <path>] \
-                     [--tolerance <fraction>] [--update] \
-                     [--inject-regression <kernel>[:factor]] \
-                     [--serve] [--serve-only] [--require-serve] \
-                     [--serve-current <path>] [--serve-baseline <path>] \
-                     [--solve] [--solve-only] [--require-solve] \
-                     [--solve-current <path>] [--solve-baseline <path>]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') && current_path.is_none() => {
-                current_path = Some(PathBuf::from(other));
-            }
-            other => return fail(&format!("unknown argument '{other}'")),
-        }
-    }
-
-    let tolerance = tolerance.unwrap_or_else(gate::gate_tolerance);
-    // A namespaced injection implies its section.
-    let serve_inject = match &inject {
-        Some((name, factor)) => match name.strip_prefix("serve:") {
-            Some(metric) => {
-                serve = true;
-                Some((metric.to_string(), *factor))
-            }
-            None => None,
-        },
-        None => None,
+    let inject = match parse_args() {
+        Ok(inject) => inject,
+        Err(e) => return fail(&e),
     };
-    let solve_inject = match &inject {
-        Some((name, factor)) => match name.strip_prefix("solve:") {
-            Some(metric) => {
-                solve = true;
-                Some((metric.to_string(), *factor))
-            }
-            None => None,
-        },
-        None => None,
-    };
-    let kernel_inject =
-        inject.filter(|(name, _)| !name.starts_with("serve:") && !name.starts_with("solve:"));
-
+    let tolerance = gate::gate_tolerance();
+    let legs = inject
+        .as_ref()
+        .map_or(&LEGS[..], |inj| std::slice::from_ref(inj.leg));
     let mut passed = true;
-
-    if !kernels_skipped {
-        let current_path = current_path.unwrap_or_else(|| results_dir().join("BENCH_kernels.json"));
-        let baseline_path =
-            baseline_path.unwrap_or_else(|| results_dir().join("BENCH_baseline.json"));
-
-        let read = |path: &PathBuf, role: &str| -> Result<gate::KernelSummary, String> {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {role} {}: {e}", path.display()))?;
-            gate::parse_summary(&text).map_err(|e| format!("bad {role} {}: {e}", path.display()))
-        };
-        let baseline = match read(&baseline_path, "baseline") {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        };
-        let mut current = match read(&current_path, "current summary") {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        };
-        if let Some((kernel, factor)) = kernel_inject {
-            if let Err(e) = gate::inject_regression(&mut current, &kernel, factor) {
-                return fail(&e);
-            }
-            eprintln!("bench_gate: injected {factor}x slowdown into '{kernel}' (self-test)");
-        }
-
-        let report = gate::compare(&baseline, &current, tolerance);
-        print!("{}", gate::render(&report, tolerance));
-        passed &= report.passed();
-
-        if passed && update {
-            if let Err(e) = std::fs::copy(&current_path, &baseline_path) {
-                return fail(&format!(
-                    "cannot update baseline {}: {e}",
-                    baseline_path.display()
-                ));
-            }
-            println!("baseline updated: {}", baseline_path.display());
-        }
-    }
-
-    if serve {
-        let leg = RatioLeg {
-            label: "serve",
-            current_path: serve_current_path
-                .unwrap_or_else(|| results_dir().join("BENCH_serve.json")),
-            baseline_path: serve_baseline_path
-                .unwrap_or_else(|| results_dir().join("BENCH_serve_baseline.json")),
-            require: require_serve,
-            inject: serve_inject,
-            render: gate::render_serve,
-        };
-        match run_ratio_leg(leg, tolerance, update) {
+    for leg in legs {
+        match run_leg(leg, inject.as_ref(), tolerance) {
             Ok(ok) => passed &= ok,
             Err(e) => return fail(&e),
         }
     }
-
-    if solve {
-        let leg = RatioLeg {
-            label: "solve",
-            current_path: solve_current_path
-                .unwrap_or_else(|| results_dir().join("BENCH_solve.json")),
-            baseline_path: solve_baseline_path
-                .unwrap_or_else(|| results_dir().join("BENCH_solve_baseline.json")),
-            require: require_solve,
-            inject: solve_inject,
-            render: gate::render_solve,
-        };
-        match run_ratio_leg(leg, tolerance, update) {
-            Ok(ok) => passed &= ok,
-            Err(e) => return fail(&e),
-        }
-    }
-
     if passed {
         ExitCode::SUCCESS
     } else {

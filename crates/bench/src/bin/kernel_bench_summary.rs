@@ -1,11 +1,14 @@
-//! Summarizes the kernel microbenchmarks into `results/BENCH_kernels.json`.
+//! Summarizes the kernel microbenchmarks into `results/BENCH_kernels.json`,
+//! the current summary of `bench_gate`'s `kernels` leg.
 //!
 //! Reads the CSV written by the `kernels` bench when run with
 //! `GENIEX_BENCH_OUT` (rows `kernels/<group>/<variant>/<shape>,ns`),
 //! pairs every `naive` row with its `blocked` counterpart, and records
-//! the per-shape speedups. Exits non-zero if the blocked GEMM is slower
-//! than the naive ikj loop at the 64×64 crossbar shape — the guardrail
-//! CI enforces against kernel regressions.
+//! each pair as a `kernels` row plus its speedup (`naive_ns /
+//! blocked_ns`) under the `gate` object, which is all `bench_gate`
+//! reads. Exits non-zero if the blocked GEMM is slower than the naive
+//! ikj loop at the 64×64 crossbar shape — the guardrail CI enforces
+//! against kernel regressions.
 //!
 //! Usage: `kernel_bench_summary [csv-path]` (default
 //! `results/bench_kernels.csv`, or `$GENIEX_BENCH_OUT` if set).
@@ -76,6 +79,7 @@ fn main() {
     }
 
     let mut entries = Vec::new();
+    let mut gate = Vec::new();
     println!(
         "{:<34} {:>12} {:>12} {:>9}",
         "kernel", "naive", "blocked", "speedup"
@@ -93,27 +97,18 @@ fn main() {
             ("blocked_ns".into(), Json::from(p.blocked_ns)),
             ("speedup".into(), Json::from(speedup)),
         ]));
+        gate.push((key.clone(), Json::from(speedup)));
     }
 
-    let speedup_of = |key: &str| pairs.get(key).map(|p| p.naive_ns / p.blocked_ns);
-    let mut top = vec![
+    let json = Json::Obj(vec![
         ("csv".into(), Json::from(csv_path.as_str())),
         (
             "threads".into(),
             Json::from(parallel::global().threads() as u64),
         ),
         ("kernels".into(), Json::Arr(entries)),
-    ];
-    for (field, key) in [
-        ("matmul_64_speedup", "matmul/64"),
-        ("matmul_transpose_64_speedup", "matmul_transpose/64"),
-        ("gemv_batch_64x64xb64_speedup", "gemv_batch/64x64xb64"),
-    ] {
-        if let Some(s) = speedup_of(key) {
-            top.push((field.into(), Json::from(s)));
-        }
-    }
-    let json = Json::Obj(top);
+        ("gate".into(), Json::Obj(gate)),
+    ]);
     let out_path = geniex_bench::setup::results_dir().join("BENCH_kernels.json");
     std::fs::create_dir_all(out_path.parent().unwrap()).expect("results dir");
     std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_kernels.json");
@@ -121,7 +116,8 @@ fn main() {
 
     // Guardrail: the register-blocked GEMM must never lose to the naive
     // ikj loop at the canonical crossbar shape.
-    if let Some(s) = speedup_of("matmul/64") {
+    if let Some(p) = pairs.get("matmul/64") {
+        let s = p.naive_ns / p.blocked_ns;
         if s < 1.0 {
             eprintln!(
                 "kernel_bench_summary: blocked matmul is {s:.2}x at 64x64 (slower than naive)"

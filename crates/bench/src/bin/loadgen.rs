@@ -18,7 +18,7 @@
 //! `--compare` runs two phases against the same server — `single`
 //! (`Configure(1, 0)`, no batching) then `batched` (`Configure(batch,
 //! linger)`) — and records `batched_speedup` under the summary's
-//! `gate` object for `bench_gate --serve`. `--reps R` repeats the
+//! `gate` object for `bench_gate`'s `serve` leg. `--reps R` repeats the
 //! phase pair R times back to back (single, batched, single, …) and
 //! the gate ratio is the best per-rep pair — each rep's phases share
 //! one machine window, so drift on a shared host cancels out of the

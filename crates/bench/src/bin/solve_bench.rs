@@ -1,6 +1,7 @@
 //! Amortized-solve benchmark: cold per-sample circuit solving versus
 //! the [`xbar::SolverCache`] batched path, emitting
-//! `results/BENCH_solve.json` for `bench_gate --solve`.
+//! `results/BENCH_solve.json`, the current summary of `bench_gate`'s
+//! `solve` leg.
 //!
 //! Both paths run the same Newton driver over the same panel of random
 //! stimuli against the same programmed tile:
@@ -22,11 +23,10 @@
 //! (`results/BENCH_solve_baseline.json`) transfers across hosts the
 //! same way the kernel-gate speedups do.
 //!
-//! Usage: `solve_bench [out.json]` (default
-//! `results/BENCH_solve.json`). `GENIEX_SOLVE_BENCH_SAMPLES` /
-//! `GENIEX_SOLVE_BENCH_REPS` override the 64×64 panel size and
-//! repetition count; `GENIEX_SOLVE_BENCH_SAMPLES_256` /
-//! `GENIEX_SOLVE_BENCH_REPS_256` the 256×256 leg's.
+//! Usage: `solve_bench`. The panel sizes and repetition counts are
+//! fixed: the first sample of every panel is cold, so a smaller panel
+//! lowers the amortized ratio, and a run at other sizes would not
+//! compare with the committed baseline.
 
 use std::time::Instant;
 
@@ -34,18 +34,12 @@ use geniex_bench::setup::results_dir;
 use telemetry::Json;
 use xbar::{ConductanceMatrix, CrossbarCircuit, CrossbarParams, SolverCache};
 
-const DEFAULT_SAMPLES: usize = 24;
-const DEFAULT_REPS: usize = 3;
-const DEFAULT_SAMPLES_256: usize = 8;
-const DEFAULT_REPS_256: usize = 2;
-
-fn env_count(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
+/// Samples per panel and timed repetitions of the 64×64 leg.
+const SAMPLES: usize = 24;
+const REPS: usize = 3;
+/// The same for the 256×256 leg.
+const SAMPLES_256: usize = 8;
+const REPS_256: usize = 2;
 
 /// Deterministic xorshift64* stream in [0, 1).
 struct Rng(u64);
@@ -184,21 +178,9 @@ fn run_leg(size: usize, samples: usize, reps: usize) -> LegResult {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| results_dir().join("BENCH_solve.json"));
-
-    let leg64 = run_leg(
-        64,
-        env_count("GENIEX_SOLVE_BENCH_SAMPLES", DEFAULT_SAMPLES),
-        env_count("GENIEX_SOLVE_BENCH_REPS", DEFAULT_REPS),
-    );
-    let leg256 = run_leg(
-        256,
-        env_count("GENIEX_SOLVE_BENCH_SAMPLES_256", DEFAULT_SAMPLES_256),
-        env_count("GENIEX_SOLVE_BENCH_REPS_256", DEFAULT_REPS_256),
-    );
+    let out_path = results_dir().join("BENCH_solve.json");
+    let leg64 = run_leg(64, SAMPLES, REPS);
+    let leg256 = run_leg(256, SAMPLES_256, REPS_256);
 
     // The 64×64 leg keeps its historical top-level keys so older
     // tooling reading this file stays compatible; the 256×256 leg

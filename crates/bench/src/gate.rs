@@ -1,109 +1,148 @@
-//! Perf-regression gate: compares a `kernel_bench_summary` JSON
-//! against a committed baseline so kernel speedups ratchet instead of
-//! drifting (ROADMAP item 2).
+//! Perf-regression gate. Every gated leg is a
+//! `results/BENCH_<leg>.json` summary whose `gate` object maps metric
+//! name → higher-is-better ratio, compared against the committed
+//! `results/BENCH_<leg>_baseline.json`.
 //!
-//! The gate compares **speedup ratios** (`naive_ns / blocked_ns`), not
-//! raw nanoseconds: ratios are machine-relative, so a baseline
-//! committed from one machine remains meaningful on another (raw
-//! timings would not be). A kernel regresses when its current speedup
-//! falls more than the tolerance fraction below the baseline's:
+//! The legs ([`LEGS`]) are `kernels` (naive/blocked time per kernel
+//! shape, from `kernel_bench_summary`), `serve` (batched/single
+//! throughput, from `loadgen --compare`) and `solve` (cold/amortized
+//! time per solve, from `solve_bench`). Each metric is a **ratio** of
+//! two timings taken on one host, so it is machine-relative: a
+//! baseline committed from one machine stays meaningful on another,
+//! where raw timings would not. A metric regresses when it falls more
+//! than the tolerance fraction below its baseline:
 //!
 //! ```text
 //! current < baseline * (1 - tolerance)   →   regression
 //! ```
 //!
 //! The tolerance comes from `GENIEX_GATE_TOLERANCE` (fraction, default
-//! 0.10); `bench_gate --update` refreshes the baseline on explicit
-//! opt-in. See the `bench_gate` binary for the CLI.
+//! 0.10). The gate reads only the `gate` object, so re-baselining a
+//! leg is copying its fresh summary over its baseline file. See the
+//! `bench_gate` binary for the CLI.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use telemetry::json::{parse, Json};
 
-/// One kernel's timings from a summary file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelRow {
-    pub naive_ns: f64,
-    pub blocked_ns: f64,
-    pub speedup: f64,
+use crate::setup::results_dir;
+
+/// One gated leg; both of its files are named after it.
+pub struct Leg {
+    /// The `<leg>` in `results/BENCH_<leg>.json`.
+    pub name: &'static str,
+    /// Command that regenerates the current summary and re-runs the
+    /// gate, printed when the leg fails.
+    pub repro: &'static str,
 }
 
-/// Parsed `BENCH_kernels.json`-style summary: kernel name → row.
-#[derive(Debug, Clone, Default)]
-pub struct KernelSummary {
-    pub kernels: BTreeMap<String, KernelRow>,
-    /// Thread count the summary was produced with, if recorded.
-    pub threads: Option<u64>,
+impl Leg {
+    /// The current summary, written by the leg's benchmark.
+    pub fn current_path(&self) -> PathBuf {
+        results_dir().join(format!("BENCH_{}.json", self.name))
+    }
+
+    /// The committed baseline the current summary is gated against.
+    pub fn baseline_path(&self) -> PathBuf {
+        results_dir().join(format!("BENCH_{}_baseline.json", self.name))
+    }
 }
 
-/// Parses a summary produced by `kernel_bench_summary`.
+/// Every gated leg, in the order `bench_gate` runs them.
+pub static LEGS: [Leg; 3] = [
+    Leg {
+        name: "kernels",
+        repro: "GENIEX_THREADS=1 GENIEX_BENCH_OUT=/tmp/bench_kernels.csv \
+                cargo bench -p geniex-bench --bench kernels && \
+                GENIEX_THREADS=1 cargo run --release -p geniex-bench --bin kernel_bench_summary \
+                /tmp/bench_kernels.csv && \
+                cargo run --release -p geniex-bench --bin bench_gate",
+    },
+    Leg {
+        name: "serve",
+        repro: "GENIEX_THREADS=1 cargo run --release -p geniex-serve & wait for READY, then \
+                GENIEX_THREADS=1 cargo run --release -p geniex-bench --bin loadgen -- \
+                --compare --reps 3 --requests 600 --concurrency 96 --batch 64 --linger-us 1000 && \
+                cargo run --release -p geniex-bench --bin bench_gate",
+    },
+    Leg {
+        name: "solve",
+        repro: "GENIEX_THREADS=1 cargo run --release -p geniex-bench --bin solve_bench && \
+                cargo run --release -p geniex-bench --bin bench_gate",
+    },
+];
+
+/// The gated leg called `name`, if any.
+pub fn leg(name: &str) -> Option<&'static Leg> {
+    LEGS.iter().find(|leg| leg.name == name)
+}
+
+/// A summary's gated metrics: name → higher-is-better ratio.
+pub type Metrics = BTreeMap<String, f64>;
+
+/// Parses the `gate` object of a summary or baseline.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed construct: invalid
-/// JSON, a missing `kernels` array, or rows without the
-/// `kernel`/`naive_ns`/`blocked_ns`/`speedup` fields.
-pub fn parse_summary(text: &str) -> Result<KernelSummary, String> {
+/// JSON, a missing or empty `gate` object, or a metric that is not a
+/// finite positive number.
+fn parse_gate(text: &str) -> Result<Metrics, String> {
     let root = parse(text)?;
-    let rows = root
-        .get("kernels")
-        .and_then(Json::as_arr)
-        .ok_or("summary has no 'kernels' array")?;
-    let mut kernels = BTreeMap::new();
-    for row in rows {
-        let name = row
-            .get("kernel")
-            .and_then(Json::as_str)
-            .ok_or("kernel row without 'kernel' name")?;
-        let num = |key: &str| -> Result<f64, String> {
-            row.get(key)
-                .and_then(Json::as_f64)
-                .filter(|v| v.is_finite() && *v > 0.0)
-                .ok_or_else(|| format!("kernel '{name}': missing or non-positive '{key}'"))
-        };
-        kernels.insert(
-            name.to_string(),
-            KernelRow {
-                naive_ns: num("naive_ns")?,
-                blocked_ns: num("blocked_ns")?,
-                speedup: num("speedup")?,
-            },
-        );
+    let Some(Json::Obj(pairs)) = root.get("gate") else {
+        return Err("summary has no 'gate' object".to_string());
+    };
+    let mut metrics = Metrics::new();
+    for (name, value) in pairs {
+        let v = value
+            .as_f64()
+            .filter(|v| v.is_finite() && *v > 0.0)
+            .ok_or_else(|| format!("metric '{name}': missing or non-positive value"))?;
+        metrics.insert(name.clone(), v);
     }
-    if kernels.is_empty() {
-        return Err("summary contains no kernels".to_string());
+    if metrics.is_empty() {
+        return Err("summary 'gate' object is empty".to_string());
     }
-    Ok(KernelSummary {
-        kernels,
-        threads: root.get("threads").and_then(Json::as_u64),
-    })
+    Ok(metrics)
 }
 
-/// One kernel whose speedup fell below the tolerated band.
+/// Reads and parses the `gate` object of the file at `path`.
+///
+/// # Errors
+///
+/// Returns a message naming `path` if it cannot be read or parsed.
+pub fn read_gate(path: &Path) -> Result<Metrics, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    parse_gate(&text).map_err(|e| format!("bad {}: {e}", path.display()))
+}
+
+/// One metric that moved beyond the tolerated band.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
-    pub kernel: String,
-    pub baseline_speedup: f64,
-    pub current_speedup: f64,
+    pub metric: String,
+    pub baseline: f64,
+    pub current: f64,
     /// `current / baseline` — e.g. 0.85 means 15% of the baseline
-    /// speedup was lost.
+    /// ratio was lost.
     pub ratio: f64,
 }
 
-/// Outcome of comparing a current summary against the baseline.
+/// Outcome of comparing a current summary against its baseline.
 #[derive(Debug, Clone, Default)]
 pub struct GateReport {
-    /// Kernels that regressed beyond tolerance (the gate fails when
+    /// Metrics that regressed beyond tolerance (the gate fails when
     /// non-empty).
     pub regressions: Vec<Regression>,
-    /// Kernels whose speedup *improved* beyond tolerance — candidates
-    /// for a baseline update so the ratchet tightens.
+    /// Metrics that *improved* beyond tolerance — candidates for a
+    /// re-baseline so the ratchet tightens.
     pub improvements: Vec<Regression>,
-    /// Baseline kernels absent from the current summary (warned, not
+    /// Baseline metrics absent from the current summary (warned, not
     /// failed: quick modes may run subsets).
     pub missing: Vec<String>,
-    /// Current kernels the baseline doesn't know yet.
-    pub new_kernels: Vec<String>,
+    /// Current metrics the baseline doesn't know yet.
+    pub new_metrics: Vec<String>,
 }
 
 impl GateReport {
@@ -114,33 +153,31 @@ impl GateReport {
 }
 
 /// Compares `current` against `baseline` with a fractional
-/// `tolerance` (0.10 = a kernel may lose up to 10% of its baseline
-/// speedup before the gate trips). Negative tolerances are treated
-/// as 0.
-pub fn compare(baseline: &KernelSummary, current: &KernelSummary, tolerance: f64) -> GateReport {
+/// `tolerance` (0.10 = a metric may lose up to 10% of its baseline
+/// value before the gate trips). Negative tolerances are treated as 0.
+pub fn compare(baseline: &Metrics, current: &Metrics, tolerance: f64) -> GateReport {
     let tolerance = tolerance.max(0.0);
     let mut report = GateReport::default();
-    for (name, base) in &baseline.kernels {
-        let Some(cur) = current.kernels.get(name) else {
+    for (name, &base) in baseline {
+        let Some(&cur) = current.get(name) else {
             report.missing.push(name.clone());
             continue;
         };
-        let ratio = cur.speedup / base.speedup;
         let entry = Regression {
-            kernel: name.clone(),
-            baseline_speedup: base.speedup,
-            current_speedup: cur.speedup,
-            ratio,
+            metric: name.clone(),
+            baseline: base,
+            current: cur,
+            ratio: cur / base,
         };
-        if cur.speedup < base.speedup * (1.0 - tolerance) {
+        if cur < base * (1.0 - tolerance) {
             report.regressions.push(entry);
-        } else if cur.speedup > base.speedup * (1.0 + tolerance) {
+        } else if cur > base * (1.0 + tolerance) {
             report.improvements.push(entry);
         }
     }
-    for name in current.kernels.keys() {
-        if !baseline.kernels.contains_key(name) {
-            report.new_kernels.push(name.clone());
+    for name in current.keys() {
+        if !baseline.contains_key(name) {
+            report.new_metrics.push(name.clone());
         }
     }
     // Worst loss first, so the headline line names the biggest
@@ -164,498 +201,224 @@ pub fn gate_tolerance() -> f64 {
         .unwrap_or(0.10)
 }
 
-/// Divides the named kernel's speedup by `factor` — the `bench_gate
+/// Divides the named metric by `factor` — the `bench_gate
 /// --inject-regression` self-test hook that lets CI verify the gate
 /// actually trips.
 ///
 /// # Errors
 ///
-/// Returns an error naming the kernel if it is absent or `factor` is
-/// not a finite positive number.
-pub fn inject_regression(
-    summary: &mut KernelSummary,
-    kernel: &str,
-    factor: f64,
-) -> Result<(), String> {
-    if !factor.is_finite() || factor <= 0.0 {
-        return Err(format!("injection factor {factor} must be positive"));
-    }
-    let row = summary
-        .kernels
-        .get_mut(kernel)
-        .ok_or_else(|| format!("kernel '{kernel}' not in summary"))?;
-    row.speedup /= factor;
-    row.blocked_ns *= factor;
-    Ok(())
-}
-
-/// Renders the gate outcome as a human-readable table plus, on
-/// failure, a one-line repro command.
-pub fn render(report: &GateReport, tolerance: f64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "perf gate: tolerance {:.1}% on speedup ratios (naive/blocked)\n",
-        tolerance * 100.0
-    ));
-    let row = |r: &Regression| {
-        format!(
-            "  {:<28} baseline {:>8.3}x  current {:>8.3}x  ({:+.1}%)\n",
-            r.kernel,
-            r.baseline_speedup,
-            r.current_speedup,
-            (r.ratio - 1.0) * 100.0
-        )
-    };
-    if !report.regressions.is_empty() {
-        out.push_str("REGRESSED beyond tolerance:\n");
-        for r in &report.regressions {
-            out.push_str(&row(r));
-        }
-    }
-    if !report.improvements.is_empty() {
-        out.push_str("improved beyond tolerance (consider --update to ratchet):\n");
-        for r in &report.improvements {
-            out.push_str(&row(r));
-        }
-    }
-    for name in &report.missing {
-        out.push_str(&format!(
-            "  warning: baseline kernel '{name}' not in current summary\n"
-        ));
-    }
-    for name in &report.new_kernels {
-        out.push_str(&format!("  note: new kernel '{name}' (not in baseline)\n"));
-    }
-    if report.passed() {
-        out.push_str("perf gate: PASS\n");
-    } else {
-        out.push_str("perf gate: FAIL\n");
-        out.push_str(
-            "repro: GENIEX_THREADS=1 GENIEX_BENCH_OUT=/tmp/bench_kernels.csv \
-             cargo bench -p geniex-bench --bench kernels && \
-             cargo run --release -p geniex-bench --bin kernel_bench_summary /tmp/bench_kernels.csv && \
-             cargo run --release -p geniex-bench --bin bench_gate\n",
-        );
-    }
-    out
-}
-
-/// Parsed serve load-harness summary (`BENCH_serve.json`): the gated
-/// metrics live under a top-level `"gate"` object mapping metric name
-/// → ratio (e.g. `batched_speedup` = batched rps / single rps).
-/// Ratios are machine-relative, exactly like kernel speedups, so a
-/// committed baseline transfers across hosts.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServeSummary {
-    pub metrics: BTreeMap<String, f64>,
-}
-
-/// Parses a serve summary produced by `loadgen --compare` (or a
-/// committed `BENCH_serve_baseline.json`, which may carry only the
-/// `gate` object).
-///
-/// # Errors
-///
-/// Returns a description of the first malformed construct: invalid
-/// JSON, a missing or empty `gate` object, or non-positive metrics.
-pub fn parse_serve_summary(text: &str) -> Result<ServeSummary, String> {
-    let root = parse(text)?;
-    let Some(Json::Obj(pairs)) = root.get("gate") else {
-        return Err("serve summary has no 'gate' object".to_string());
-    };
-    let mut metrics = BTreeMap::new();
-    for (name, value) in pairs {
-        let v = value
-            .as_f64()
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or_else(|| format!("serve metric '{name}': missing or non-positive value"))?;
-        metrics.insert(name.clone(), v);
-    }
-    if metrics.is_empty() {
-        return Err("serve summary 'gate' object is empty".to_string());
-    }
-    Ok(ServeSummary { metrics })
-}
-
-/// Compares current serve metrics against the baseline: every metric
-/// is higher-is-better, and a metric regresses when it falls more
-/// than `tolerance` below its baseline value — the same band the
-/// kernel gate uses. Reuses [`GateReport`] (the `kernel` field holds
-/// the metric name).
-pub fn compare_serve(
-    baseline: &ServeSummary,
-    current: &ServeSummary,
-    tolerance: f64,
-) -> GateReport {
-    let as_kernels = |s: &ServeSummary| KernelSummary {
-        kernels: s
-            .metrics
-            .iter()
-            .map(|(name, &v)| {
-                (
-                    name.clone(),
-                    KernelRow {
-                        naive_ns: 1.0,
-                        blocked_ns: 1.0,
-                        speedup: v,
-                    },
-                )
-            })
-            .collect(),
-        threads: None,
-    };
-    compare(&as_kernels(baseline), &as_kernels(current), tolerance)
-}
-
-/// Divides the named serve metric by `factor` — the
-/// `bench_gate --inject-regression serve:<metric>` self-test hook.
-///
-/// # Errors
-///
 /// Returns an error naming the metric if it is absent or `factor` is
 /// not a finite positive number.
-pub fn inject_serve_regression(
-    summary: &mut ServeSummary,
-    metric: &str,
-    factor: f64,
-) -> Result<(), String> {
+pub fn inject_regression(metrics: &mut Metrics, metric: &str, factor: f64) -> Result<(), String> {
     if !factor.is_finite() || factor <= 0.0 {
         return Err(format!("injection factor {factor} must be positive"));
     }
-    let value = summary
-        .metrics
+    let value = metrics
         .get_mut(metric)
-        .ok_or_else(|| format!("serve metric '{metric}' not in summary"))?;
+        .ok_or_else(|| format!("metric '{metric}' not in summary"))?;
     *value /= factor;
     Ok(())
 }
 
-/// Renders the serve gate outcome: same table as the kernel gate,
-/// with a serve-specific repro line on failure.
-pub fn render_serve(report: &GateReport, tolerance: f64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "serve gate: tolerance {:.1}% on load-harness ratios\n",
+/// Renders one leg's gate outcome as a human-readable table plus, on
+/// failure, the leg's one-line repro command.
+pub fn render(leg: &Leg, report: &GateReport, tolerance: f64) -> String {
+    let name = leg.name;
+    let mut out = format!(
+        "{name} gate: tolerance {:.1}% on higher-is-better ratios\n",
         tolerance * 100.0
-    ));
-    let row = |r: &Regression| {
-        format!(
-            "  {:<28} baseline {:>8.3}x  current {:>8.3}x  ({:+.1}%)\n",
-            r.kernel,
-            r.baseline_speedup,
-            r.current_speedup,
-            (r.ratio - 1.0) * 100.0
-        )
-    };
-    if !report.regressions.is_empty() {
-        out.push_str("REGRESSED beyond tolerance:\n");
-        for r in &report.regressions {
-            out.push_str(&row(r));
-        }
-    }
-    if !report.improvements.is_empty() {
-        out.push_str("improved beyond tolerance (consider --update to ratchet):\n");
-        for r in &report.improvements {
-            out.push_str(&row(r));
-        }
-    }
-    for name in &report.missing {
-        out.push_str(&format!(
-            "  warning: baseline serve metric '{name}' not in current summary\n"
-        ));
-    }
-    for name in &report.new_kernels {
-        out.push_str(&format!(
-            "  note: new serve metric '{name}' (not in baseline)\n"
-        ));
-    }
-    if report.passed() {
-        out.push_str("serve gate: PASS\n");
-    } else {
-        out.push_str("serve gate: FAIL\n");
-        out.push_str(
-            "repro: GENIEX_THREADS=1 cargo run --release -p geniex-serve & \
-             wait for READY, then \
-             GENIEX_THREADS=1 cargo run --release -p geniex-bench --bin loadgen -- --compare && \
-             cargo run --release -p geniex-bench --bin bench_gate -- --serve\n",
-        );
-    }
-    out
-}
-
-/// Renders the solve gate outcome: the amortized-solver leg
-/// (`BENCH_solve.json` vs `BENCH_solve_baseline.json`, DESIGN.md §15)
-/// reuses the serve-summary machinery — both are `gate`-object ratio
-/// files — but fails with a solve-specific repro line.
-pub fn render_solve(report: &GateReport, tolerance: f64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "solve gate: tolerance {:.1}% on amortized-solver ratios\n",
-        tolerance * 100.0
-    ));
-    let row = |r: &Regression| {
-        format!(
-            "  {:<28} baseline {:>8.3}x  current {:>8.3}x  ({:+.1}%)\n",
-            r.kernel,
-            r.baseline_speedup,
-            r.current_speedup,
-            (r.ratio - 1.0) * 100.0
-        )
-    };
-    if !report.regressions.is_empty() {
-        out.push_str("REGRESSED beyond tolerance:\n");
-        for r in &report.regressions {
-            out.push_str(&row(r));
-        }
-    }
-    if !report.improvements.is_empty() {
-        out.push_str("improved beyond tolerance (consider --update to ratchet):\n");
-        for r in &report.improvements {
-            out.push_str(&row(r));
-        }
-    }
-    for name in &report.missing {
-        out.push_str(&format!(
-            "  warning: baseline solve metric '{name}' not in current summary\n"
-        ));
-    }
-    for name in &report.new_kernels {
-        out.push_str(&format!(
-            "  note: new solve metric '{name}' (not in baseline)\n"
-        ));
-    }
-    if report.passed() {
-        out.push_str("solve gate: PASS\n");
-    } else {
-        out.push_str("solve gate: FAIL\n");
-        out.push_str(
-            "repro: GENIEX_THREADS=1 cargo run --release -p geniex-bench --bin solve_bench && \
-             cargo run --release -p geniex-bench --bin bench_gate -- --solve\n",
-        );
-    }
-    out
-}
-
-/// Serializes a serve summary back to the committed-baseline form:
-/// just the `gate` object, which is all the gate reads.
-pub fn serve_baseline_json(summary: &ServeSummary) -> String {
-    let gate = Json::Obj(
-        summary
-            .metrics
-            .iter()
-            .map(|(name, &v)| (name.clone(), Json::from(v)))
-            .collect(),
     );
-    Json::Obj(vec![("gate".to_string(), gate)]).to_string()
+    let row = |r: &Regression| {
+        format!(
+            "  {:<28} baseline {:>8.3}x  current {:>8.3}x  ({:+.1}%)\n",
+            r.metric,
+            r.baseline,
+            r.current,
+            (r.ratio - 1.0) * 100.0
+        )
+    };
+    if !report.regressions.is_empty() {
+        out.push_str("REGRESSED beyond tolerance:\n");
+        for r in &report.regressions {
+            out.push_str(&row(r));
+        }
+    }
+    if !report.improvements.is_empty() {
+        out.push_str(&format!(
+            "improved beyond tolerance (to ratchet, copy results/BENCH_{name}.json \
+             over results/BENCH_{name}_baseline.json):\n"
+        ));
+        for r in &report.improvements {
+            out.push_str(&row(r));
+        }
+    }
+    for metric in &report.missing {
+        out.push_str(&format!(
+            "  warning: baseline metric '{metric}' not in current summary\n"
+        ));
+    }
+    for metric in &report.new_metrics {
+        out.push_str(&format!(
+            "  note: new metric '{metric}' (not in baseline)\n"
+        ));
+    }
+    if report.passed() {
+        out.push_str(&format!("{name} gate: PASS\n"));
+    } else {
+        out.push_str(&format!("{name} gate: FAIL\nrepro: {}\n", leg.repro));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = r#"{"csv":"/tmp/x.csv","threads":1,"kernels":[
-        {"kernel":"matmul/64","naive_ns":24000,"blocked_ns":16000,"speedup":1.5},
-        {"kernel":"spmv/128","naive_ns":580,"blocked_ns":716,"speedup":0.81},
-        {"kernel":"dot_f32/64","naive_ns":33,"blocked_ns":6.6,"speedup":5.0}
-    ]}"#;
+    const SAMPLE: &str = r#"{"csv":"/tmp/x.csv","threads":1,"kernels":[],
+        "gate":{"matmul/64":1.5,"batched_speedup":0.81,"dot_f32/64":5.0}}"#;
 
     #[test]
-    fn parses_summary() {
-        let s = parse_summary(SAMPLE).expect("parse");
-        assert_eq!(s.kernels.len(), 3);
-        assert_eq!(s.threads, Some(1));
-        assert_eq!(s.kernels["matmul/64"].speedup, 1.5);
+    fn parses_gate_object() {
+        let m = parse_gate(SAMPLE).expect("parse");
+        assert_eq!(m.len(), 3);
+        assert_eq!(m["matmul/64"], 1.5);
+        assert_eq!(m["batched_speedup"], 0.81);
     }
 
     #[test]
     fn rejects_malformed() {
-        assert!(parse_summary("{}").is_err());
-        assert!(parse_summary("{\"kernels\":[]}").is_err());
-        assert!(parse_summary("{\"kernels\":[{\"kernel\":\"x\"}]}").is_err());
-        assert!(parse_summary(
-            "{\"kernels\":[{\"kernel\":\"x\",\"naive_ns\":0,\"blocked_ns\":1,\"speedup\":1}]}"
-        )
-        .is_err());
+        for text in [
+            "not json",
+            "{}",
+            r#"{"gate":{}}"#,
+            r#"{"gate":[2.0]}"#,
+            r#"{"gate":{"x":0}}"#,
+            r#"{"gate":{"x":-1.5}}"#,
+            r#"{"gate":{"x":"fast"}}"#,
+        ] {
+            assert!(parse_gate(text).is_err(), "accepted {text}");
+        }
     }
 
     #[test]
     fn identical_summaries_pass() {
-        let s = parse_summary(SAMPLE).unwrap();
-        let report = compare(&s, &s, 0.10);
+        let m = parse_gate(SAMPLE).unwrap();
+        let report = compare(&m, &m, 0.10);
         assert!(report.passed());
         assert!(report.improvements.is_empty());
         assert!(report.missing.is_empty());
-        assert!(report.new_kernels.is_empty());
+        assert!(report.new_metrics.is_empty());
     }
 
     #[test]
-    fn ten_percent_loss_trips_default_tolerance() {
-        let baseline = parse_summary(SAMPLE).unwrap();
+    fn loss_beyond_tolerance_trips_and_a_wider_band_absorbs_it() {
+        let baseline = parse_gate(SAMPLE).unwrap();
         let mut current = baseline.clone();
-        // 15% slower blocked time → speedup ratio drops ~13%.
+        // A 15% slower blocked time drops the ratio by ~13%.
         inject_regression(&mut current, "matmul/64", 1.15).unwrap();
         let report = compare(&baseline, &current, 0.10);
         assert!(!report.passed());
         assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].kernel, "matmul/64");
-        assert!(render(&report, 0.10).contains("repro:"));
-        // A wider tolerance absorbs the same loss.
+        assert_eq!(report.regressions[0].metric, "matmul/64");
         assert!(compare(&baseline, &current, 0.20).passed());
+        // A factor-2 loss is beyond any sane tolerance…
+        let mut halved = baseline.clone();
+        inject_regression(&mut halved, "batched_speedup", 2.0).unwrap();
+        assert!(!compare(&baseline, &halved, 0.45).passed());
+        // …but a mild dip sits inside the band.
+        let mut mild = baseline.clone();
+        inject_regression(&mut mild, "batched_speedup", 1.05).unwrap();
+        assert!(compare(&baseline, &mild, 0.10).passed());
     }
 
     #[test]
     fn worst_regression_sorts_first() {
-        let baseline = parse_summary(SAMPLE).unwrap();
+        let baseline = parse_gate(SAMPLE).unwrap();
         let mut current = baseline.clone();
         inject_regression(&mut current, "matmul/64", 1.2).unwrap();
         inject_regression(&mut current, "dot_f32/64", 2.0).unwrap();
         let report = compare(&baseline, &current, 0.10);
-        assert_eq!(report.regressions[0].kernel, "dot_f32/64");
+        assert_eq!(report.regressions[0].metric, "dot_f32/64");
     }
 
     #[test]
-    fn missing_and_new_kernels_reported_not_failed() {
-        let baseline = parse_summary(SAMPLE).unwrap();
+    fn missing_and_new_metrics_reported_not_failed() {
+        let baseline = parse_gate(SAMPLE).unwrap();
         let mut current = baseline.clone();
-        let row = current.kernels.remove("spmv/128").unwrap();
-        current.kernels.insert("spmv/256".to_string(), row);
+        let v = current.remove("dot_f32/64").unwrap();
+        current.insert("dot_f32/128".to_string(), v);
         let report = compare(&baseline, &current, 0.10);
         assert!(report.passed());
-        assert_eq!(report.missing, vec!["spmv/128".to_string()]);
-        assert_eq!(report.new_kernels, vec!["spmv/256".to_string()]);
+        assert_eq!(report.missing, vec!["dot_f32/64".to_string()]);
+        assert_eq!(report.new_metrics, vec!["dot_f32/128".to_string()]);
     }
 
     #[test]
     fn improvements_flagged_for_ratchet() {
-        let baseline = parse_summary(SAMPLE).unwrap();
+        let baseline = parse_gate(SAMPLE).unwrap();
         let mut current = baseline.clone();
-        current.kernels.get_mut("matmul/64").unwrap().speedup = 2.5;
+        current.insert("matmul/64".to_string(), 2.5);
         let report = compare(&baseline, &current, 0.10);
         assert!(report.passed());
         assert_eq!(report.improvements.len(), 1);
-        assert!(render(&report, 0.10).contains("--update"));
+        let rendered = render(leg("kernels").unwrap(), &report, 0.10);
+        assert!(rendered
+            .contains("copy results/BENCH_kernels.json over results/BENCH_kernels_baseline.json"));
     }
 
     #[test]
     fn inject_rejects_bad_inputs() {
-        let mut s = parse_summary(SAMPLE).unwrap();
-        assert!(inject_regression(&mut s, "nope", 2.0).is_err());
-        assert!(inject_regression(&mut s, "matmul/64", 0.0).is_err());
-        assert!(inject_regression(&mut s, "matmul/64", f64::NAN).is_err());
+        let mut m = parse_gate(SAMPLE).unwrap();
+        assert!(inject_regression(&mut m, "nope", 2.0).is_err());
+        assert!(inject_regression(&mut m, "matmul/64", 0.0).is_err());
+        assert!(inject_regression(&mut m, "matmul/64", f64::NAN).is_err());
     }
 
     #[test]
-    fn committed_baseline_parses_and_passes_against_itself() {
-        // Guards the checked-in baseline file itself: it must stay
-        // parseable and self-consistent.
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/BENCH_baseline.json"
-        );
-        let text = std::fs::read_to_string(path).expect("committed baseline exists");
-        let baseline = parse_summary(&text).expect("baseline parses");
-        assert!(baseline.kernels.contains_key("matmul/64"));
-        assert!(compare(&baseline, &baseline, 0.0).passed());
-    }
-
-    const SERVE_SAMPLE: &str = r#"{"addr":"127.0.0.1:4917","phases":[],
-        "gate":{"batched_speedup":2.6,"p95_latency_gain":1.4}}"#;
-
-    #[test]
-    fn parses_serve_summary() {
-        let s = parse_serve_summary(SERVE_SAMPLE).expect("parse");
-        assert_eq!(s.metrics.len(), 2);
-        assert_eq!(s.metrics["batched_speedup"], 2.6);
-    }
-
-    #[test]
-    fn rejects_malformed_serve_summary() {
-        assert!(parse_serve_summary("{}").is_err());
-        assert!(parse_serve_summary("{\"gate\":{}}").is_err());
-        assert!(parse_serve_summary("{\"gate\":{\"x\":0}}").is_err());
-        assert!(parse_serve_summary("{\"gate\":{\"x\":\"fast\"}}").is_err());
-    }
-
-    #[test]
-    fn serve_regression_trips_and_tolerance_absorbs() {
-        let baseline = parse_serve_summary(SERVE_SAMPLE).unwrap();
+    fn a_failing_leg_renders_its_own_repro() {
+        let baseline = parse_gate(SAMPLE).unwrap();
         let mut current = baseline.clone();
-        inject_serve_regression(&mut current, "batched_speedup", 2.0).unwrap();
-        let report = compare_serve(&baseline, &current, 0.10);
-        assert!(!report.passed());
-        assert_eq!(report.regressions[0].kernel, "batched_speedup");
-        assert!(render_serve(&report, 0.10).contains("serve gate: FAIL"));
-        // A factor-2 loss is beyond any sane tolerance…
-        assert!(!compare_serve(&baseline, &current, 0.45).passed());
-        // …but a mild dip sits inside the band.
-        let mut mild = baseline.clone();
-        inject_serve_regression(&mut mild, "batched_speedup", 1.05).unwrap();
-        assert!(compare_serve(&baseline, &mild, 0.10).passed());
+        inject_regression(&mut current, "matmul/64", 3.0).unwrap();
+        let failed = compare(&baseline, &current, 0.10);
+        let passed = compare(&baseline, &baseline, 0.10);
+        for (leg, producer) in LEGS
+            .iter()
+            .zip(["kernel_bench_summary", "loadgen", "solve_bench"])
+        {
+            let rendered = render(leg, &failed, 0.10);
+            assert!(rendered.contains(&format!("{} gate: FAIL", leg.name)));
+            assert!(rendered.contains(&format!("repro: {}\n", leg.repro)));
+            assert!(leg.repro.contains(producer), "{}", leg.name);
+            let rendered = render(leg, &passed, 0.10);
+            assert!(rendered.contains(&format!("{} gate: PASS", leg.name)));
+            assert!(!rendered.contains("repro:"));
+        }
     }
 
     #[test]
-    fn serve_inject_rejects_bad_inputs() {
-        let mut s = parse_serve_summary(SERVE_SAMPLE).unwrap();
-        assert!(inject_serve_regression(&mut s, "nope", 2.0).is_err());
-        assert!(inject_serve_regression(&mut s, "batched_speedup", 0.0).is_err());
-        assert!(inject_serve_regression(&mut s, "batched_speedup", f64::NAN).is_err());
+    fn committed_summaries_parse_and_baselines_pass_against_themselves() {
+        // Guards the checked-in files themselves: each must stay
+        // parseable, and each baseline self-consistent.
+        for leg in &LEGS {
+            let baseline = read_gate(&leg.baseline_path()).expect("committed baseline");
+            assert!(compare(&baseline, &baseline, 0.0).passed(), "{}", leg.name);
+            read_gate(&leg.current_path()).expect("committed current summary");
+        }
     }
 
     #[test]
-    fn serve_baseline_round_trips_through_json() {
-        let s = parse_serve_summary(SERVE_SAMPLE).unwrap();
-        let text = serve_baseline_json(&s);
-        let back = parse_serve_summary(&text).expect("round-trip parses");
-        assert_eq!(back, s);
-        assert!(compare_serve(&s, &back, 0.0).passed());
-    }
-
-    #[test]
-    fn solve_regression_trips_with_solve_render() {
-        let baseline = parse_serve_summary(r#"{"gate":{"amortized_speedup":2.5}}"#).unwrap();
-        let mut current = baseline.clone();
-        inject_serve_regression(&mut current, "amortized_speedup", 3.0).unwrap();
-        let report = compare_serve(&baseline, &current, 0.10);
-        assert!(!report.passed());
-        let rendered = render_solve(&report, 0.10);
-        assert!(rendered.contains("solve gate: FAIL"));
-        assert!(rendered.contains("solve_bench"));
+    fn committed_baselines_witness_the_gated_wins() {
+        let baseline = |name: &str| read_gate(&leg(name).unwrap().baseline_path()).unwrap();
+        assert!(baseline("kernels").contains_key("matmul/64"));
+        let batched = baseline("serve")["batched_speedup"];
         assert!(
-            render_solve(&compare_serve(&baseline, &baseline, 0.10), 0.10)
-                .contains("solve gate: PASS")
+            batched >= 2.0,
+            "committed baseline must witness the >=2x batching win, got {batched}"
         );
-    }
-
-    #[test]
-    fn committed_solve_baseline_parses_and_passes_against_itself() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/BENCH_solve_baseline.json"
-        );
-        let text = std::fs::read_to_string(path).expect("committed solve baseline exists");
-        let baseline = parse_serve_summary(&text).expect("solve baseline parses");
+        let amortized = baseline("solve")["amortized_speedup"];
         assert!(
-            baseline.metrics["amortized_speedup"] >= 2.0,
-            "committed baseline must witness the >=2x amortized-solve win, got {}",
-            baseline.metrics["amortized_speedup"]
+            amortized >= 2.0,
+            "committed baseline must witness the >=2x amortized-solve win, got {amortized}"
         );
-        assert!(compare_serve(&baseline, &baseline, 0.0).passed());
-    }
-
-    #[test]
-    fn committed_serve_baseline_parses_and_passes_against_itself() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/BENCH_serve_baseline.json"
-        );
-        let text = std::fs::read_to_string(path).expect("committed serve baseline exists");
-        let baseline = parse_serve_summary(&text).expect("serve baseline parses");
-        assert!(baseline.metrics.contains_key("batched_speedup"));
-        assert!(
-            baseline.metrics["batched_speedup"] >= 2.0,
-            "committed baseline must witness the >=2x batching win, got {}",
-            baseline.metrics["batched_speedup"]
-        );
-        assert!(compare_serve(&baseline, &baseline, 0.0).passed());
     }
 }

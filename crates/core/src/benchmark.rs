@@ -2,13 +2,13 @@
 //! circuit ground truth on a held-out validation set.
 
 use crate::dataset::live_current_floor;
-use crate::models::{CrossbarModel, GeniexModel, LinearAnalyticalModel, TrueCircuitModel};
-use crate::surrogate::Geniex;
+use crate::fast::GeniexTile;
+use crate::surrogate::{currents_from_f_r, Geniex};
 use crate::GeniexError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xbar::nf::nf_rmse;
-use xbar::{ideal_mvm, ConductanceMatrix, CrossbarParams};
+use xbar::{ideal_mvm, AnalyticalModel, ConductanceMatrix, CrossbarCircuit, CrossbarParams};
 
 /// RMSE of model-predicted NF against the circuit reference, per model.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,10 +93,18 @@ pub fn compare_models(
             .collect();
         let g = ConductanceMatrix::random_sparse(params, g_sparsity, &mut rng);
 
-        let reference = TrueCircuitModel::new(params, &g)?.currents(&v)?;
-        let analytical = LinearAnalyticalModel::new(params, &g)?.currents(&v)?;
-        let geniex = GeniexModel::new(surrogate, &g)?.currents(&v)?;
+        let reference = CrossbarCircuit::new(params, &g)?.solve(&v)?.currents;
+        let analytical = AnalyticalModel::new(params, &g)?.mvm(&v)?;
+        // The surrogate's fast tile path, not the full MLP forward of
+        // `Geniex::predict_currents`.
+        let g_levels: Vec<f32> = g
+            .to_levels(surrogate.params())
+            .into_iter()
+            .map(|x| x as f32)
+            .collect();
+        let f_r = GeniexTile::new(surrogate, &g_levels)?.f_r(&v)?;
         let ideal = ideal_mvm(&v, &g)?;
+        let geniex = currents_from_f_r(&ideal, &f_r);
 
         // Keep the three NF vectors aligned: only columns carrying a
         // meaningful ideal current contribute (NF on near-dead columns
@@ -130,6 +138,60 @@ mod tests {
     use super::*;
     use crate::dataset::{generate, DatasetConfig};
     use crate::surrogate::TrainConfig;
+
+    #[test]
+    fn all_models_agree_on_zero_input() {
+        // Each of the four computations `compare_models` draws on reads
+        // zero current at zero input.
+        let p = CrossbarParams::builder(4, 4).build().unwrap();
+        let mut rng = StdRng::seed_from_u64(19);
+        let g = ConductanceMatrix::random_sparse(&p, 0.3, &mut rng);
+        let data = generate(
+            &p,
+            &DatasetConfig {
+                samples: 30,
+                seed: 1,
+                ..DatasetConfig::default()
+            },
+        )
+        .unwrap();
+        let mut s = Geniex::new(&p, 16, 0).unwrap();
+        s.train(
+            &data,
+            &TrainConfig {
+                epochs: 5,
+                ..TrainConfig::default()
+            },
+        )
+        .unwrap();
+
+        let v = [0.0; 4];
+        let g_levels: Vec<f32> = g.to_levels(&p).into_iter().map(|x| x as f32).collect();
+        let f_r = GeniexTile::new(&s, &g_levels).unwrap().f_r(&v).unwrap();
+        let ideal = ideal_mvm(&v, &g).unwrap();
+        for (name, out) in [
+            ("geniex", currents_from_f_r(&ideal, &f_r)),
+            ("ideal", ideal),
+            (
+                "analytical",
+                AnalyticalModel::new(&p, &g).unwrap().mvm(&v).unwrap(),
+            ),
+            (
+                "circuit",
+                CrossbarCircuit::new(&p, &g)
+                    .unwrap()
+                    .solve(&v)
+                    .unwrap()
+                    .currents,
+            ),
+        ] {
+            assert_eq!(out.len(), 4, "{name}");
+            assert!(
+                out.iter().all(|&i| i.abs() < 1e-12),
+                "{name} nonzero at zero input"
+            );
+        }
+    }
 
     #[test]
     fn geniex_beats_analytical_on_small_crossbar() {

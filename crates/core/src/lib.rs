@@ -47,10 +47,8 @@ pub mod benchmark;
 pub mod dataset;
 mod error;
 mod fast;
-mod models;
 mod surrogate;
 
 pub use error::GeniexError;
 pub use fast::GeniexTile;
-pub use models::{CrossbarModel, GeniexModel, IdealModel, LinearAnalyticalModel, TrueCircuitModel};
 pub use surrogate::{Geniex, Normalizer, TrainConfig, TrainingReport};

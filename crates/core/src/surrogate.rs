@@ -409,12 +409,7 @@ impl Geniex {
             .map(|x| x as f32)
             .collect();
         let f_r = self.predict_f_r(&v_levels, &g_levels)?;
-        let ideal = ideal_mvm(v, g)?;
-        Ok(ideal
-            .iter()
-            .zip(&f_r)
-            .map(|(&id, &fr)| if id == 0.0 { 0.0 } else { id / fr as f64 })
-            .collect())
+        Ok(currents_from_f_r(&ideal_mvm(v, g)?, &f_r))
     }
 
     /// Serializes the surrogate (geometry, normalizer, MLP weights).
@@ -488,6 +483,16 @@ impl Geniex {
             normalizer,
         })
     }
+}
+
+/// `I_non_ideal = I_ideal / f_R` per bit line, with all-zero columns
+/// passed through as zero.
+pub(crate) fn currents_from_f_r(ideal: &[f64], f_r: &[f32]) -> Vec<f64> {
+    ideal
+        .iter()
+        .zip(f_r)
+        .map(|(&id, &fr)| if id == 0.0 { 0.0 } else { id / fr as f64 })
+        .collect()
 }
 
 #[cfg(test)]

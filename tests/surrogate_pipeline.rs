@@ -4,11 +4,11 @@
 
 use geniex::benchmark::{compare_models, BenchmarkConfig};
 use geniex::dataset::{generate, DatasetConfig};
-use geniex::{CrossbarModel, Geniex, GeniexModel, GeniexTile, TrainConfig, TrueCircuitModel};
+use geniex::{Geniex, GeniexTile, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Cursor;
-use xbar::{ConductanceMatrix, CrossbarParams};
+use xbar::{ideal_mvm, ConductanceMatrix, CrossbarCircuit, CrossbarParams};
 
 fn design_point() -> CrossbarParams {
     CrossbarParams::builder(5, 5).build().unwrap()
@@ -95,11 +95,24 @@ fn surrogate_tracks_circuit_currents_on_held_out_patterns() {
     let mut count = 0usize;
     for _ in 0..6 {
         let g = ConductanceMatrix::random_sparse(&params, 0.3, &mut rng);
-        let circuit = TrueCircuitModel::new(&params, &g).unwrap();
-        let model = GeniexModel::new(&surrogate, &g).unwrap();
         let v = vec![params.v_supply; 5];
-        let truth = circuit.currents(&v).unwrap();
-        let predicted = model.currents(&v).unwrap();
+        let truth = CrossbarCircuit::new(&params, &g)
+            .unwrap()
+            .solve(&v)
+            .unwrap()
+            .currents;
+        // The fast tile path `compare_models` uses: I_ideal / f_R.
+        let g_levels: Vec<f32> = g.to_levels(&params).into_iter().map(|x| x as f32).collect();
+        let f_r = GeniexTile::new(&surrogate, &g_levels)
+            .unwrap()
+            .f_r(&v)
+            .unwrap();
+        let ideal = ideal_mvm(&v, &g).unwrap();
+        let predicted: Vec<f64> = ideal
+            .iter()
+            .zip(&f_r)
+            .map(|(&id, &fr)| if id == 0.0 { 0.0 } else { id / fr as f64 })
+            .collect();
         for (p, t) in predicted.iter().zip(&truth) {
             if t.abs() > 1e-9 {
                 total_rel_err += ((p - t) / t).abs();
